@@ -242,6 +242,8 @@ def run_verify_lemma(cfg: ExperimentConfig, which: str, samples: int, j_opt: Opt
     field = cfg.field()
     simplex = resolve_simplex(cfg, field)
     k = simplex.k
+    if samples < 1:
+        raise ValueError("samples must be positive")
     records = []
     if which == "4.1":
         if k < 2:
@@ -379,6 +381,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "charsum-audit":
             records = run_charsum_audit(args.q_max)
+            if not records:
+                raise ValueError(f"no odd prime up to q-max = {args.q_max}: nothing to check")
             records.append(summary_record("charsum-audit", {"q_max": args.q_max}, records[:]))
             emit(records, args.out, args.format)
             return 0 if all(r["pass"] for r in records) else 1

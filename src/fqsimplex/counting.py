@@ -15,6 +15,12 @@ which the code verifies as an exact integer identity along two aggregation
 paths.  Enumeration never sweeps all q^{kd} tuples: level l candidates are
 read off vectorized dot-product masks, so the work scales with the support
 size q^{jd - binom(j+1,2)} plus O(q^d) per node.
+
+Every vector of a support tuple lies on one of k spheres, so the tuples
+reuse far fewer distinct vectors than they contain.  Each aggregation path
+therefore memoizes the boolean translates y -> A(. + y) of the set it
+counts: a translate is computed on first use and kept while the memo holds
+at most TRANSLATE_MEMO_BYTES, then recomputed on use past that bound.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ from .measures import (
 )
 
 STARRED_ENUM_CAP = 1_000_000
+# Bytes of memoized translates one aggregation path keeps; past this,
+# translates are recomputed on use instead of stored.
+TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +182,7 @@ def support_tuples(field: PrimeField, simplex: Simplex, j: int, independent: boo
                 descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)])
 
     descend([], [])
+    del descend  # the closure refers to itself; free it without the cyclic GC
     return out
 
 
@@ -200,6 +210,7 @@ def starred_average(func: Callable, field: PrimeField, d: int, j: int) -> float:
             rec(chosen + [p])
 
     rec([])
+    del rec  # the closure refers to itself; free it without the cyclic GC
     return total / float(n) ** j
 
 
@@ -227,22 +238,57 @@ def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex,
     return float((total * scale).real)
 
 
+def _indicator(mask) -> np.ndarray:
+    """The 0/1 array mask as booleans; any other value raises ValueError."""
+    arr = np.asarray(mask)
+    if arr.dtype != bool:
+        if not np.all((arr == 0) | (arr == 1)):
+            raise ValueError("indicator masks must hold only 0 and 1")
+        arr = arr.astype(bool)
+    return arr
+
+
+def _translate_memo(values: np.ndarray, q: int, d: int, budget: int) -> Callable:
+    """y -> values(. + y), each translate computed on first use and stored
+    while the stored rows take at most budget bytes; past that, rows are
+    recomputed on use."""
+    rows: dict = {}
+    room = budget // values.nbytes
+
+    def translate(y) -> np.ndarray:
+        y = tuple(y)
+        row = rows.get(y)
+        if row is None:
+            row = domain.translate_values(values, q, d, y)
+            if len(rows) < room:
+                rows[y] = row
+        return row
+
+    return translate
+
+
 def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], simplex: Simplex,
                              support: Optional[list] = None) -> Fraction:
-    """Exact rational script_S for indicator inputs, aggregated through
-    integer products (a separate path from the embedding counter).
+    """Exact rational script_S for 0/1 indicator inputs, aggregated by
+    boolean intersection and counting (a separate path from the embedding
+    counter).  A mask holding any other value raises ValueError.
 
     The support list comes out of the enumeration in prefix order, so the
-    partial products for a shared tuple prefix are computed once."""
+    intersections for a shared tuple prefix are computed once; translates
+    come from a memo per distinct mask, bounded by TRANSLATE_MEMO_BYTES
+    in total."""
     j = len(masks) - 1
     q = field.q
     d = simplex.d
     if support is None:
         support = support_tuples(field, simplex, j)
-    ints = [np.asarray(m, dtype=np.int32) for m in masks]
+    distinct = {id(m): m for m in masks[1:]}
+    memos = {key: _translate_memo(_indicator(m), q, d, TRANSLATE_MEMO_BYTES // len(distinct))
+             for key, m in distinct.items()}
+    translates = [memos[id(m)] for m in masks[1:]]
     total = 0
     prefix: list = []
-    accs = [ints[0]]
+    accs = [_indicator(masks[0])]
     for ys in support:
         shared = 0
         while shared < len(prefix) and prefix[shared] == ys[shared]:
@@ -251,10 +297,10 @@ def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], sim
         del accs[shared + 1:]
         while len(prefix) < j:
             y = ys[len(prefix)]
-            acc = accs[-1] * domain.translate_values(ints[len(prefix) + 1], q, d, y)
+            acc = accs[-1] & translates[len(prefix)](y)
             prefix.append(y)
             accs.append(acc)
-        total += int(accs[-1].sum())
+        total += int(np.count_nonzero(accs[-1]))
     return Fraction(q ** math.comb(j + 1, 2) * total, q ** ((j + 1) * d))
 
 
@@ -327,11 +373,13 @@ def gram_preserving_orderings(field: PrimeField, simplex: Simplex) -> int:
 
 def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
     """Boolean embedding counter: walks the constrained tuple tree carrying
-    the running intersection A and roll(A, -y_i), so shared prefixes share
-    work and empty intersections prune whole subtrees."""
+    the running intersection of A and the translates A(. + y_i), so shared
+    prefixes share work and empty intersections prune whole subtrees.
+    Translates come from a memo bounded by TRANSLATE_MEMO_BYTES."""
     q, d, k = A.q, A.d, simplex.k
     gram = gram_matrix(field, simplex)
     lengths = domain.lengths_vector(q, d)
+    translate = _translate_memo(A.mask, q, d, TRANSLATE_MEMO_BYTES)
     total = 0
 
     def descend(chosen: list, dot_arrays: list, hits: np.ndarray):
@@ -343,13 +391,14 @@ def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
         mask = mask & ~span_mask(field, chosen, d)
         for idx in np.nonzero(mask)[0]:
             y = domain.point_of(int(idx), q, d)
-            deeper = hits & domain.translate_values(A.mask, q, d, y)
+            deeper = hits & translate(y)
             if level + 1 == k:
                 total += int(np.count_nonzero(deeper))
             elif deeper.any():
                 descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)], deeper)
 
     descend([], [], A.mask)
+    del descend  # the closure refers to itself; free it without the cyclic GC
     return total
 
 
@@ -360,8 +409,9 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     the reference simplex.
 
     Runs the boolean embedding counter and the exact rational script_S
-    path (separate enumeration, separate aggregation) and insists they
-    agree as integers before reporting.
+    path (separate enumeration, separate aggregation, each with its own
+    bounded memo of translates of A) and insists they agree as integers
+    before reporting; unordered_count must divide exactly as well.
     """
     field = field or PrimeField(A.q)
     if (A.q, A.d) != (simplex.q, simplex.d):
@@ -384,6 +434,8 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
         raise RuntimeError("embedding count and script_S disagree; internal inconsistency")
 
     sym = gram_preserving_orderings(field, simplex)
+    if exact % sym:
+        raise RuntimeError(f"embedding count {exact} is not a multiple of the symmetry factor {sym}")
     size = A.size
     af = size / q ** d
     main = af ** (k + 1) * scale

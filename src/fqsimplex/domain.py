@@ -40,10 +40,11 @@ def point_of(idx: int, q: int, d: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def coords_matrix(q: int, d: int) -> np.ndarray:
-    """(q^d, d) int16 matrix whose rows are the points in index order."""
+    """(q^d, d) matrix whose rows are the points in index order; int16 while
+    every coordinate 0..q-1 fits, int32 above that."""
     n = domain_size(q, d)
     idx = np.arange(n, dtype=np.int64)
-    out = np.empty((n, d), dtype=np.int16)
+    out = np.empty((n, d), dtype=np.int16 if q - 1 <= np.iinfo(np.int16).max else np.int32)
     for c in range(d):
         out[:, c] = (idx // q ** c) % q
     out.flags.writeable = False

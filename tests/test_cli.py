@@ -121,6 +121,27 @@ def test_usage_error_exit_code():
         main(["no-such-command"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", "--which", "4.1", "--q", "7", "--d", "4", "--k", "3", "--samples", "0"],
+    ["charsum-audit", "--q-max", "2"],
+])
+def test_empty_run_is_a_usage_error(argv, capsys):
+    # a run that checks nothing must not report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("q", [32749, 40009])
+def test_count_exact_beyond_int16_coordinates(q, capsys):
+    # y = +-1 for every x: 2q ordered embeddings, on both sides of 2^15
+    code, records, _ = run_cli(capsys, "count", "--q", str(q), "--d", "1", "--k", "1", "--set", "full")
+    assert code == 0
+    assert records[0]["exact_count"] == 2 * q
+    assert records[0]["unordered_count"] == q
+
+
 def test_bound_violation_exit_code(capsys):
     code = main(["verify-measures", "--q", "5", "--d", "3", "--accept-constant", "0.01"])
     out = capsys.readouterr().out

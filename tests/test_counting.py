@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import warnings
@@ -6,8 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import naive_embedding_count, random_valid_simplex, standard_simplex
-from fqsimplex import domain
+from fqsimplex import counting, domain
 from fqsimplex.counting import (
     CountReport,
     PointSet,
@@ -97,6 +101,19 @@ def test_support_tuples_match_weights():
     dep = support_tuples(F5, s0, 2, independent=False)
     indep = support_tuples(F5, s0, 2, independent=True)
     assert len(dep) > len(indep)
+
+
+def test_support_tuples_result_is_freed_without_the_cyclic_gc():
+    # the recursive walker must not keep its result alive through a
+    # closure cycle: the dict holding it is its only referrer
+    s = standard_simplex(F5, 3, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        held = {"support": support_tuples(F5, s, 2)}
+        assert gc.get_referrers(held["support"]) == [held]
+    finally:
+        gc.enable()
 
 
 # -- starred averages -------------------------------------------------------------
@@ -272,6 +289,91 @@ def test_symmetry_factor_and_unordered_count():
     assert gram_preserving_orderings(F5, s1) == 2  # reversing a segment
     rep = count_isometric_copies(PointSet.full(5, 3), s2, field=F5)
     assert rep.exact_count == rep.unordered_count * rep.symmetry_factor
+
+
+def test_unordered_count_refuses_a_remainder(monkeypatch):
+    # 15000 ordered embeddings are not a multiple of 7: the report must not floor
+    monkeypatch.setattr(counting, "gram_preserving_orderings", lambda field, simplex: 7)
+    s = standard_simplex(F5, 3, 2)
+    with pytest.raises(RuntimeError):
+        count_isometric_copies(PointSet.full(5, 3), s, field=F5)
+
+
+# -- the two aggregation routes ------------------------------------------------------
+
+def _route_counts(f, A, s):
+    """(embedding counter, script_S route scaled to an integer count)."""
+    q, d, k = A.q, A.d, s.k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tree = counting._count_embeddings(f, A, s)
+        flat = script_S_indicator_exact(f, [A.mask] * (k + 1), s)
+    return tree, flat * q ** ((k + 1) * d - math.comb(k + 1, 2))
+
+
+@pytest.mark.parametrize("q,d,k", [(5, 2, 1), (5, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize("kind", ["empty", "full", 0.1, 0.5, 0.9])
+def test_routes_match_naive_count_with_and_without_memo_cap(q, d, k, kind, monkeypatch):
+    f = PrimeField(q)
+    s = standard_simplex(f, d, k)
+    if kind == "empty":
+        A = PointSet.empty(q, d)
+    elif kind == "full":
+        A = PointSet.full(q, d)
+    else:
+        A = PointSet.random(q, d, kind, np.random.default_rng(int(kind * 10) + k))
+    expected = naive_embedding_count(f, A, s)
+    assert _route_counts(f, A, s) == (expected, expected)
+    # a memo of three rows: most translates are recomputed past the cap
+    monkeypatch.setattr(counting, "TRANSLATE_MEMO_BYTES", 3 * q ** d)
+    assert _route_counts(f, A, s) == (expected, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bits=st.lists(st.booleans(), min_size=27, max_size=27), memo_rows=st.sampled_from([0, 1, 4, 100]))
+def test_routes_match_naive_count_property(bits, memo_rows):
+    A = PointSet(3, 3, np.array(bits))
+    s = standard_simplex(F3, 3, 2)
+    expected = naive_embedding_count(F3, A, s)
+    saved = counting.TRANSLATE_MEMO_BYTES
+    counting.TRANSLATE_MEMO_BYTES = memo_rows * 27
+    try:
+        assert _route_counts(F3, A, s) == (expected, expected)
+    finally:
+        counting.TRANSLATE_MEMO_BYTES = saved
+
+
+def test_translate_memo_stores_up_to_its_budget(monkeypatch):
+    calls = []
+    original = domain.translate_values
+
+    def counted(values, q, d, y):
+        calls.append(y)
+        return original(values, q, d, y)
+
+    monkeypatch.setattr(domain, "translate_values", counted)
+    mask = PointSet.random(5, 2, 0.5, np.random.default_rng(3)).mask
+    ys = [(1, 0), (0, 1), (2, 3), (4, 4), (3, 1)]
+    for rows, expected_calls in [(10, 5), (2, 8), (0, 10)]:
+        calls.clear()
+        translate = counting._translate_memo(mask, 5, 2, rows * mask.nbytes)
+        for y in ys + ys:
+            assert np.array_equal(translate(y), original(mask, 5, 2, y))
+        assert len(calls) == expected_calls
+
+
+def test_script_S_exact_rejects_non_indicator_masks():
+    s = standard_simplex(F5, 3, 2)
+    mask = np.zeros(125, dtype=np.int64)
+    mask[:10] = 1
+    as_float = mask.astype(np.float64)
+    base = script_S_indicator_exact(F5, [mask.astype(bool)] * 3, s)
+    assert script_S_indicator_exact(F5, [mask, as_float, mask], s) == base
+    mask[3] = 2
+    with pytest.raises(ValueError):
+        script_S_indicator_exact(F5, [mask, mask, mask], s)
+    with pytest.raises(ValueError):
+        script_S_indicator_exact(F5, [np.ones(125, dtype=bool)] * 2 + [mask], s)
 
 
 # -- inequality and asymptotic checks ----------------------------------------------
