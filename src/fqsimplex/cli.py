@@ -4,8 +4,9 @@ Every subcommand emits JSON lines: one record per check carrying
 {check, params, value, bound, pass}, then a summary record.  Exit status is
 0 exactly when every asserted bound passed, 1 when a bound failed (the
 failing records carry "pass": false), and 2 on usage errors.  Output is
-deterministic for a fixed configuration and seed, independent of the
-worker thread count.
+deterministic for a fixed configuration and seed.  --threads is still
+accepted, for existing command lines, and has no effect: trials run
+serially.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -38,15 +38,14 @@ from .linalg import (
     construct_extremal_simplex,
     embed_simplex,
     find_simplex_of_rank,
-    make_simplex,
     reorder_for_prefix_ranks,
     simplex_from_json,
+    standard_simplex,
 )
 from .measures import measure_suite, sample_anchor_tuple
 
 DEFAULT_ACCEPT = 3.0
 DEFAULT_TOLERANCE = 1e-9
-THREADS_ENV = "FQSIMPLEX_THREADS"
 
 
 @dataclass
@@ -60,21 +59,11 @@ class ExperimentConfig:
     alpha: float = 0.3
     trials: int = 10
     seed: int = 0
-    threads: int = 1
     accept_constant: float = DEFAULT_ACCEPT
     tolerance: float = DEFAULT_TOLERANCE
 
     def field(self) -> PrimeField:
         return PrimeField(self.q)
-
-
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def resolve_simplex(cfg: ExperimentConfig, field: PrimeField) -> Simplex:
@@ -89,14 +78,7 @@ def resolve_simplex(cfg: ExperimentConfig, field: PrimeField) -> Simplex:
         s = embed_simplex(field, construct_extremal_simplex(field, k, r), cfg.d)
     elif cfg.k is not None:
         if cfg.r is None or cfg.r == cfg.k:
-            if cfg.d < cfg.k:
-                raise ValueError("standard simplex needs d >= k")
-            pts = [[0] * cfg.d]
-            for j in range(cfg.k):
-                e = [0] * cfg.d
-                e[j] = 1
-                pts.append(e)
-            s = make_simplex(field, pts)
+            s = standard_simplex(field, cfg.d, cfg.k)
         else:
             s = find_simplex_of_rank(field, cfg.d, cfg.k, cfg.r)
     else:
@@ -219,8 +201,7 @@ def run_random_experiment(cfg: ExperimentConfig) -> list:
     simplex = resolve_simplex(cfg, field)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reports = random_set_experiment(field, simplex, cfg.alpha, cfg.trials, cfg.seed,
-                                        threads=cfg.threads)
+        reports = random_set_experiment(field, simplex, cfg.alpha, cfg.trials, cfg.seed)
     params = {"q": cfg.q, "d": cfg.d, "k": simplex.k, "alpha": cfg.alpha,
               "trials": cfg.trials, "seed": cfg.seed}
     records = []
@@ -299,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True, help="odd prime modulus")
         p.add_argument("--d", type=int, default=2, help="ambient dimension")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect (trials run serially)")
         p.add_argument("--accept-constant", type=float, default=DEFAULT_ACCEPT)
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
         p.add_argument("--out", default="-", help="output path (default: stdout)")
@@ -355,7 +336,6 @@ def config_from_args(args) -> ExperimentConfig:
         alpha=getattr(args, "alpha", 0.3),
         trials=getattr(args, "trials", 10),
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
         accept_constant=args.accept_constant,
         tolerance=args.tolerance,
     )
@@ -369,7 +349,7 @@ def config_from_args(args) -> ExperimentConfig:
         raise ValueError("alpha must lie in (0, 1]")
     if cfg.trials < 1:
         raise ValueError("trials must be positive")
-    if cfg.threads < 1:
+    if args.threads < 1:
         raise ValueError("threads must be positive")
     PrimeField(cfg.q)
     return cfg

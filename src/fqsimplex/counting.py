@@ -12,9 +12,11 @@ embeddings of the reference simplex in A:
     exact_count = q^{(k+1)d - binom(k+1,2)} * script_S(1_A, ..., 1_A)
 
 which the code verifies as an exact integer identity along two aggregation
-paths.  Enumeration never sweeps all q^{kd} tuples: level l candidates are
-read off vectorized dot-product masks, so the work scales with the support
-size q^{jd - binom(j+1,2)} plus O(q^d) per node.
+paths.  Both rest on one walker of the constrained tuple tree, _walk:
+level l candidates are read off vectorized dot-product masks and span
+exclusion, never a sweep of all q^{kd} tuples, so the work scales with the
+support size q^{jd - binom(j+1,2)} plus O(q^d) per node.  The support list
+it enumerates is summed by one prefix-shared fold, _fold_support.
 
 Every vector of a support tuple lies on one of k spheres, so the tuples
 reuse far fewer distinct vectors than they contain.  Each aggregation path
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +42,7 @@ from .fourier import DenseFunction, fourier_transform
 from .linalg import (
     Simplex,
     gram_matrix,
+    isometric_orderings,
     matrix_rank,
     prefix_simplex,
     simplex_is_valid,
@@ -51,6 +54,7 @@ from .measures import (
     build_conditional,
     check_anchors,
     conditional_value,
+    s_weight,  # noqa: F401  (re-exported as fqsimplex.counting.s_weight)
     span_mask,
     step_targets,
 )
@@ -121,9 +125,7 @@ class PointSet:
 
     def translate(self, t) -> "PointSet":
         """The set A + t."""
-        grid = domain.as_grid(self.mask, self.q, self.d)
-        shift = tuple(c % self.q for c in t)
-        return PointSet(self.q, self.d, domain.as_flat(np.roll(grid, shift, axis=tuple(range(self.d)))))
+        return PointSet(self.q, self.d, domain.translate_values(self.mask, self.q, self.d, [-c for c in t]))
 
     def apply_linear(self, matrix) -> "PointSet":
         """The image set U(A) for an invertible matrix U."""
@@ -139,35 +141,24 @@ class PointSet:
 # weighted tuple sums
 # ---------------------------------------------------------------------------
 
-def s_weight(field: PrimeField, ys, simplex: Simplex) -> int:
-    """Product of the first len(ys) step weights; q^binom(j+1,2) exactly on
-    tuples gram-matching the reference prefix, else 0."""
-    total = 1
-    for j, y in enumerate(ys, start=1):
-        w = conditional_value(field, list(ys[: j - 1]), step_targets(field, simplex, j), y)
-        if w == 0:
-            return 0
-        total *= w
-    return total
+def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
+          step: Callable, root) -> None:
+    """Depth-first walk of the tuples (y_1, ..., y_j) matching the reference
+    dot products, optionally restricted to linearly independent tuples.
 
-
-def support_tuples(field: PrimeField, simplex: Simplex, j: int, independent: bool = True) -> list:
-    """All tuples (y_1, ..., y_j) matching the reference dot products,
-    optionally restricted to linearly independent tuples.
-
+    step(state, chosen, y) is called on every candidate y extending the
+    tuple chosen, in index order, and returns the state of the child
+    chosen + [y], or None to prune its subtree; the root carries root.
     Candidates at each level come from vectorized masks over the domain;
     cached dot arrays for already-chosen vectors keep each node at O(q^d).
     Independence is enforced by masking out Span(chosen), which has only
     q^level points and never needs a per-candidate rank computation."""
     q = field.q
     d = simplex.d
-    if j > simplex.k:
-        raise ValueError("j exceeds the reference simplex size")
     gram = gram_matrix(field, simplex)
     lengths = domain.lengths_vector(q, d)
-    out: list = []
 
-    def descend(chosen: list, dot_arrays: list):
+    def descend(chosen: list, dot_arrays: list, state):
         level = len(chosen)
         mask = lengths == gram[level][level]
         for i in range(level):
@@ -176,13 +167,28 @@ def support_tuples(field: PrimeField, simplex: Simplex, j: int, independent: boo
             mask = mask & ~span_mask(field, chosen, d)
         for idx in np.nonzero(mask)[0]:
             y = domain.point_of(int(idx), q, d)
-            if level + 1 == j:
-                out.append(tuple(chosen) + (y,))
-            else:
-                descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)])
+            child = step(state, chosen, y)
+            if child is not None and level + 1 < j:
+                descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)], child)
 
-    descend([], [])
+    descend([], [], root)
     del descend  # the closure refers to itself; free it without the cyclic GC
+
+
+def support_tuples(field: PrimeField, simplex: Simplex, j: int, independent: bool = True) -> list:
+    """All tuples (y_1, ..., y_j) matching the reference dot products,
+    optionally restricted to linearly independent tuples, in walk order
+    (tuples sharing a prefix are adjacent)."""
+    if j > simplex.k:
+        raise ValueError("j exceeds the reference simplex size")
+    out: list = []
+
+    def step(state, chosen: list, y):
+        if len(chosen) + 1 == j:
+            out.append(tuple(chosen) + (y,))
+        return state
+
+    _walk(field, simplex, j, independent, step, root=True)
     return out
 
 
@@ -228,14 +234,35 @@ def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex,
             raise ValueError("function shape does not match the simplex domain")
     if support is None:
         support = support_tuples(field, simplex, j)
-    total = 0.0 + 0.0j
-    for ys in support:
-        acc = fs[0].values.copy()
-        for f, y in zip(fs[1:], ys):
-            acc *= domain.translate_values(f.values, q, d, y)
-        total += acc.mean()
+    translates = [partial(domain.translate_values, f.values, q, d) for f in fs[1:]]
+    total = _fold_support(support, fs[0].values, translates, np.multiply, np.mean)
     scale = float(q) ** (math.comb(j + 1, 2) - j * d)
     return float((total * scale).real)
+
+
+def _fold_support(support: list, first: np.ndarray, translates: Sequence[Callable],
+                  combine: Callable, reduce: Callable):
+    """Sum over the support tuples ys of reduce(acc), where acc combines
+    first with translates[i](ys[i]) for i = 0, 1, ... in that order.
+
+    The support lists come out of the walk in prefix order, so the
+    accumulators of a tuple prefix shared with the previous tuple are
+    reused rather than recomputed."""
+    total = 0
+    prefix: list = []
+    accs = [first]
+    for ys in support:
+        shared = 0
+        while shared < len(prefix) and prefix[shared] == ys[shared]:
+            shared += 1
+        del prefix[shared:]
+        del accs[shared + 1:]
+        while len(prefix) < len(ys):
+            y = ys[len(prefix)]
+            accs.append(combine(accs[-1], translates[len(prefix)](y)))
+            prefix.append(y)
+        total += reduce(accs[-1])
+    return total
 
 
 def _indicator(mask) -> np.ndarray:
@@ -286,21 +313,7 @@ def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], sim
     memos = {key: _translate_memo(_indicator(m), q, d, TRANSLATE_MEMO_BYTES // len(distinct))
              for key, m in distinct.items()}
     translates = [memos[id(m)] for m in masks[1:]]
-    total = 0
-    prefix: list = []
-    accs = [_indicator(masks[0])]
-    for ys in support:
-        shared = 0
-        while shared < len(prefix) and prefix[shared] == ys[shared]:
-            shared += 1
-        del prefix[shared:]
-        del accs[shared + 1:]
-        while len(prefix) < j:
-            y = ys[len(prefix)]
-            acc = accs[-1] & translates[len(prefix)](y)
-            prefix.append(y)
-            accs.append(acc)
-        total += int(np.count_nonzero(accs[-1]))
+    total = _fold_support(support, _indicator(masks[0]), translates, np.logical_and, np.count_nonzero)
     return Fraction(q ** math.comb(j + 1, 2) * total, q ** ((j + 1) * d))
 
 
@@ -361,14 +374,7 @@ class CountReport:
 def gram_preserving_orderings(field: PrimeField, simplex: Simplex) -> int:
     """Number of orderings of the simplex points with the same Gram matrix;
     the divisor converting ordered embeddings to unordered copies."""
-    import itertools
-
-    ref = gram_matrix(field, simplex)
-    count = 0
-    for perm in itertools.permutations(simplex.points):
-        if gram_matrix(field, Simplex(simplex.q, perm)) == ref:
-            count += 1
-    return count
+    return isometric_orderings(field, simplex, simplex)
 
 
 def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
@@ -377,28 +383,18 @@ def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
     prefixes share work and empty intersections prune whole subtrees.
     Translates come from a memo bounded by TRANSLATE_MEMO_BYTES."""
     q, d, k = A.q, A.d, simplex.k
-    gram = gram_matrix(field, simplex)
-    lengths = domain.lengths_vector(q, d)
     translate = _translate_memo(A.mask, q, d, TRANSLATE_MEMO_BYTES)
     total = 0
 
-    def descend(chosen: list, dot_arrays: list, hits: np.ndarray):
+    def step(hits: np.ndarray, chosen: list, y):
         nonlocal total
-        level = len(chosen)
-        mask = lengths == gram[level][level]
-        for i in range(level):
-            mask = mask & (dot_arrays[i] == gram[i][level])
-        mask = mask & ~span_mask(field, chosen, d)
-        for idx in np.nonzero(mask)[0]:
-            y = domain.point_of(int(idx), q, d)
-            deeper = hits & translate(y)
-            if level + 1 == k:
-                total += int(np.count_nonzero(deeper))
-            elif deeper.any():
-                descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)], deeper)
+        deeper = hits & translate(y)
+        if len(chosen) + 1 == k:
+            total += int(np.count_nonzero(deeper))
+            return None
+        return deeper if deeper.any() else None
 
-    descend([], [], A.mask)
-    del descend  # the closure refers to itself; free it without the cyclic GC
+    _walk(field, simplex, k, True, step, root=A.mask)
     return total
 
 
@@ -566,13 +562,13 @@ def verify_error_lemma(field: PrimeField, simplex: Simplex, j: int,
 # ---------------------------------------------------------------------------
 
 def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, trials: int,
-                          seed: int, threads: int = 1, fixed_size: bool = False) -> list:
+                          seed: int, fixed_size: bool = False) -> list:
     """Sample random sets of target density alpha and report the embedding
     count statistics per trial.
 
     The master seed expands through a splittable seed sequence, one child
-    per trial, so reports are deterministic for a fixed seed no matter how
-    many worker threads run the trials.
+    per trial, so each trial's set depends only on the seed and its index.
+    Trials run one after another and share one enumerated support list.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -585,15 +581,9 @@ def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, tri
         )
     support = support_tuples(field, simplex, simplex.k)
     children = np.random.SeedSequence(seed).spawn(trials)
-
-    def run_trial(i: int) -> CountReport:
-        rng = np.random.default_rng(children[i])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            A = PointSet.random(q, d, alpha, rng, fixed_size=fixed_size)
-            return count_isometric_copies(A, simplex, field=field, support=support, trial=i)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_trial, range(trials)))
-    return [run_trial(i) for i in range(trials)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [count_isometric_copies(PointSet.random(q, d, alpha, np.random.default_rng(child),
+                                                       fixed_size=fixed_size),
+                                       simplex, field=field, support=support, trial=i)
+                for i, child in enumerate(children)]

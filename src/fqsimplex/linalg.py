@@ -265,6 +265,18 @@ def make_simplex(field: PrimeField, points: Sequence[Sequence[int]], validate: b
     return s
 
 
+def standard_simplex(field: PrimeField, d: int, k: int) -> Simplex:
+    """The simplex {0, e_1, ..., e_k} in F_q^d."""
+    if d < k:
+        raise ValueError("standard simplex needs d >= k")
+    pts = [(0,) * d]
+    for j in range(k):
+        e = [0] * d
+        e[j] = 1
+        pts.append(tuple(e))
+    return make_simplex(field, pts)
+
+
 def simplex_is_valid(field: PrimeField, s: Simplex) -> bool:
     return matrix_rank(field, s.diffs()) == s.k
 
@@ -294,17 +306,20 @@ def is_isometric_ordered(field: PrimeField, s1: Simplex, s2: Simplex) -> bool:
     return gram_matrix(field, s1) == gram_matrix(field, s2)
 
 
+def isometric_orderings(field: PrimeField, s1: Simplex, s2: Simplex) -> int:
+    """Number of reorderings of s2's points that match s1's Gram matrix."""
+    g1 = gram_matrix(field, s1)
+    return sum(1 for perm in itertools.permutations(s2.points)
+               if gram_matrix(field, Simplex(s2.q, perm)) == g1)
+
+
 def is_isometric(field: PrimeField, s1: Simplex, s2: Simplex) -> bool:
     """True when some reordering of s2 matches s1's Gram matrix."""
     if s1.k != s2.k:
         return False
     if s1.k > MAX_SIMPLEX_K:
         raise ValueError(f"k={s1.k} exceeds supported ordering search (k <= {MAX_SIMPLEX_K})")
-    g1 = gram_matrix(field, s1)
-    for perm in itertools.permutations(s2.points):
-        if gram_matrix(field, Simplex(s2.q, perm)) == g1:
-            return True
-    return False
+    return isometric_orderings(field, s1, s2) > 0
 
 
 def prefix_rank_sequence(field: PrimeField, s: Simplex) -> tuple:

@@ -100,6 +100,18 @@ def step_targets(field: PrimeField, simplex: Simplex, j: int) -> tuple:
     return tuple(dot(field, diffs[i], vj) for i in range(j - 1)) + (length_sq(field, vj),)
 
 
+def s_weight(field: PrimeField, ys, simplex: Simplex) -> int:
+    """Product of the first len(ys) step weights; q^binom(j+1,2) exactly on
+    tuples gram-matching the reference prefix, else 0."""
+    total = 1
+    for j, y in enumerate(ys, start=1):
+        w = conditional_value(field, list(ys[: j - 1]), step_targets(field, simplex, j), y)
+        if w == 0:
+            return 0
+        total *= w
+    return total
+
+
 def detection_product(field: PrimeField, ys, simplex: Simplex) -> int:
     """Product of the k step weights at (y_1, ..., y_k); equals
     q^binom(k+1, 2) exactly when the ys reproduce the reference dot
@@ -107,13 +119,7 @@ def detection_product(field: PrimeField, ys, simplex: Simplex) -> int:
     ys = [vec_reduce(y, field.q) for y in ys]
     if len(ys) != simplex.k:
         raise ValueError(f"expected {simplex.k} vectors, got {len(ys)}")
-    total = 1
-    for j in range(1, simplex.k + 1):
-        w = conditional_value(field, ys[: j - 1], step_targets(field, simplex, j), ys[j - 1])
-        if w == 0:
-            return 0
-        total *= w
-    return total
+    return s_weight(field, ys, simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +193,6 @@ def check_anchors(field: PrimeField, simplex: Simplex, anchors) -> None:
         raise ValueError("anchor vectors are linearly dependent")
     zero = tuple([0] * len(anchors[0]))
     got = gram_matrix(field, Simplex(field.q, (zero,) + tuple(anchors)))
-    base = simplex.points[0]
     ref = gram_matrix(field, prefix_simplex(simplex, j - 1))
     if got != ref:
         raise ValueError("anchors are not isometric to the reference prefix")

@@ -18,7 +18,8 @@ import pytest
 from fqsimplex import domain
 from fqsimplex.counting import PointSet
 from fqsimplex.field import PrimeField, is_prime
-from fqsimplex.linalg import Simplex, gram_matrix, make_simplex, matrix_rank
+# standard_simplex is re-exported: the test modules import it from here.
+from fqsimplex.linalg import Simplex, gram_matrix, matrix_rank, standard_simplex  # noqa: F401
 
 PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
 
@@ -30,15 +31,6 @@ def rng():
 
 def all_points(q, d):
     return [domain.point_of(i, q, d) for i in range(q ** d)]
-
-
-def standard_simplex(field, d, k):
-    pts = [(0,) * d]
-    for j in range(k):
-        e = [0] * d
-        e[j] = 1
-        pts.append(tuple(e))
-    return make_simplex(field, pts)
 
 
 def naive_embedding_count(field, A: PointSet, simplex: Simplex) -> int:

@@ -29,7 +29,7 @@ from fqsimplex.counting import (
 )
 from fqsimplex.field import PrimeField
 from fqsimplex.fourier import DenseFunction
-from fqsimplex.linalg import find_simplex_of_rank, make_simplex, mat_vec, random_orthogonal
+from fqsimplex.linalg import find_simplex_of_rank, isometric_orderings, make_simplex, mat_vec, random_orthogonal
 from fqsimplex.measures import detection_product, sample_anchor_tuple
 
 F3 = PrimeField(3)
@@ -287,6 +287,8 @@ def test_symmetry_factor_and_unordered_count():
     assert gram_preserving_orderings(F5, s2) == 2  # swap of the two unit legs
     s1 = standard_simplex(F5, 3, 1)
     assert gram_preserving_orderings(F5, s1) == 2  # reversing a segment
+    for s in (s1, s2, find_simplex_of_rank(F5, 4, 2, 0)):
+        assert isometric_orderings(F5, s, s) == gram_preserving_orderings(F5, s)
     rep = count_isometric_copies(PointSet.full(5, 3), s2, field=F5)
     assert rep.exact_count == rep.unordered_count * rep.symmetry_factor
 
@@ -341,6 +343,26 @@ def test_routes_match_naive_count_property(bits, memo_rows):
         assert _route_counts(F3, A, s) == (expected, expected)
     finally:
         counting.TRANSLATE_MEMO_BYTES = saved
+
+
+def test_tree_counter_prunes_where_enumeration_descends(monkeypatch):
+    # A = {0}: A & A(. + y) is empty for every y != 0, so the tree counter
+    # stops at the root, while the enumeration visits the root and all 30
+    # points of the first sphere
+    calls = []
+    original = counting.span_mask
+
+    def counted(field, vectors, d):
+        calls.append(len(vectors))
+        return original(field, vectors, d)
+
+    monkeypatch.setattr(counting, "span_mask", counted)
+    s = standard_simplex(F5, 3, 2)
+    assert counting._count_embeddings(F5, PointSet.from_points(5, 3, [(0, 0, 0)]), s) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert len(support_tuples(F5, s, 2)) == 120
+    assert len(calls) == 31
 
 
 def test_translate_memo_stores_up_to_its_budget(monkeypatch):
@@ -482,10 +504,9 @@ def test_script_S_general_functions_literal_enumeration(rng):
 
 def test_experiment_deterministic_across_threads_and_runs():
     s = standard_simplex(F7, 3, 1)
-    a = [r.to_dict() for r in random_set_experiment(F7, s, 0.3, 6, 99, threads=1)]
-    b = [r.to_dict() for r in random_set_experiment(F7, s, 0.3, 6, 99, threads=4)]
-    c = [r.to_dict() for r in random_set_experiment(F7, s, 0.3, 6, 99, threads=1)]
-    assert a == b == c
+    a = [r.to_dict() for r in random_set_experiment(F7, s, 0.3, 6, 99)]
+    b = [r.to_dict() for r in random_set_experiment(F7, s, 0.3, 6, 99)]
+    assert a == b
     different = [r.to_dict() for r in random_set_experiment(F7, s, 0.3, 6, 100)]
     assert different != a
 

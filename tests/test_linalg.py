@@ -150,6 +150,14 @@ def test_simplex_validation():
     assert not simplex_is_valid(F5, s)
 
 
+def test_standard_simplex():
+    s = standard_simplex(F5, 3, 2)
+    assert s.points == ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    assert gram_matrix(F5, s) == ((1, 0), (0, 1))
+    with pytest.raises(ValueError):
+        standard_simplex(F5, 2, 3)
+
+
 def test_gram_examples():
     std = standard_simplex(F5, 2, 2)
     assert gram_matrix(F5, std) == ((1, 0), (0, 1))
