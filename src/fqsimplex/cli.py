@@ -26,6 +26,7 @@ import numpy as np
 from .charsums import gauss_sum, quadratic_sum_bruteforce, quadratic_sum_closed_form, weil_bound_audit
 from .counting import (
     PointSet,
+    check_work,
     count_isometric_copies,
     random_set_experiment,
     verify_count_asymptotic,
@@ -181,6 +182,7 @@ def run_verify_measures(cfg: ExperimentConfig, samples: int) -> list:
 def run_count(cfg: ExperimentConfig, set_mode: str) -> list:
     field = cfg.field()
     simplex = resolve_simplex(cfg, field)
+    check_work(cfg.q, cfg.d, simplex.k)
     if set_mode == "full":
         A = PointSet.full(cfg.q, cfg.d)
     else:

@@ -55,7 +55,6 @@ from .measures import (
     check_anchors,
     conditional_value,
     s_weight,  # noqa: F401  (re-exported as fqsimplex.counting.s_weight)
-    span_mask,
     step_targets,
 )
 
@@ -63,6 +62,9 @@ STARRED_ENUM_CAP = 1_000_000
 # Bytes of memoized translates one aggregation path keeps; past this,
 # translates are recomputed on use instead of stored.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
+# Largest estimated work a count may start (see check_work).  The counting
+# routes run at about a nanosecond per unit, so this is ~20 minutes.
+WORK_CAP = 10 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +153,34 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
     chosen + [y], or None to prune its subtree; the root carries root.
     Candidates at each level come from vectorized masks over the domain;
     cached dot arrays for already-chosen vectors keep each node at O(q^d).
-    Independence is enforced by masking out Span(chosen), which has only
-    q^level points and never needs a per-candidate rank computation."""
+
+    Independence is enforced by masking out Span(chosen), which each node
+    receives from its parent as the array of its q^level points: the root
+    holds {0}, and a child widens its parent's span by the line through y,
+    span + t*y for t in F_q.  The mask has already removed Span(chosen), so
+    y is independent of chosen and the widened points are distinct; no
+    row reduction and no per-candidate rank computation is needed."""
     q = field.q
     d = simplex.d
     gram = gram_matrix(field, simplex)
     lengths = domain.lengths_vector(q, d)
+    coords = domain.coords_matrix(q, d)
+    line = np.arange(q, dtype=np.int64)[:, None, None]
 
-    def descend(chosen: list, dot_arrays: list, state):
+    def descend(chosen: list, dot_arrays: list, span: np.ndarray, state):
         level = len(chosen)
         mask = lengths == gram[level][level]
         for i in range(level):
-            mask = mask & (dot_arrays[i] == gram[i][level])
+            mask &= dot_arrays[i] == gram[i][level]
         if independent:
-            mask = mask & ~span_mask(field, chosen, d)
-        for idx in np.nonzero(mask)[0]:
-            y = domain.point_of(int(idx), q, d)
+            mask[domain.index_array(span, q)] = False
+        for y in map(tuple, coords[mask].tolist()):
             child = step(state, chosen, y)
             if child is not None and level + 1 < j:
-                descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)], child)
+                wider = ((span[None] + line * np.asarray(y, dtype=np.int64)) % q).reshape(-1, d)
+                descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)], wider, child)
 
-    descend([], [], root)
+    descend([], [], np.zeros((1, d), dtype=np.int64), root)
     del descend  # the closure refers to itself; free it without the cyclic GC
 
 
@@ -398,6 +407,18 @@ def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
     return total
 
 
+def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
+    """Work estimate of counting k-simplices in F_q^d over trials sets:
+    the count identity's scale q^{(k+1)d - binom(k+1,2)} times trials.
+    Raises ValueError above WORK_CAP, so a run that cannot finish is
+    refused before it starts."""
+    work = q ** ((k + 1) * d - math.comb(k + 1, 2)) * trials
+    if work > WORK_CAP:
+        raise ValueError(f"estimated work q^((k+1)d - C(k+1,2)) x trials = {work:.3g} "
+                         f"exceeds the cap {WORK_CAP:.3g}")
+    return work
+
+
 def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeField] = None,
                            support: Optional[list] = None, trial: Optional[int] = None) -> CountReport:
     """Exact number of tuples (x, y_1..y_k) with independent y's such that
@@ -415,6 +436,7 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     if not simplex_is_valid(field, simplex):
         raise ValueError("reference is not a valid simplex")
     q, d, k = A.q, A.d, simplex.k
+    check_work(q, d, k)
     r = simplex_rank(field, simplex)
     warn = d <= 2 * k - r
     if warn:
@@ -573,6 +595,7 @@ def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, tri
     if trials < 1:
         raise ValueError("need at least one trial")
     q, d = simplex.q, simplex.d
+    check_work(q, d, simplex.k, trials)
     r = simplex_rank(field, simplex)
     if d <= 2 * simplex.k - r:
         warnings.warn(

@@ -133,6 +133,17 @@ def test_empty_run_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_count_that_cannot_finish_is_refused(capsys):
+    # q^d = 7^9 is under the dense-storage cap, but the work estimate
+    # 7^(2*9 - 1) = 2.3e14 is not: refused at once, before any set is drawn
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--q", "7", "--d", "9", "--k", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2.33e+14" in captured.err
+
+
 @pytest.mark.parametrize("q", [32749, 40009])
 def test_count_exact_beyond_int16_coordinates(q, capsys):
     # y = +-1 for every x: 2q ordered embeddings, on both sides of 2^15

@@ -29,7 +29,18 @@ from fqsimplex.counting import (
 )
 from fqsimplex.field import PrimeField
 from fqsimplex.fourier import DenseFunction
-from fqsimplex.linalg import find_simplex_of_rank, isometric_orderings, make_simplex, mat_vec, random_orthogonal
+from fqsimplex.linalg import (
+    construct_extremal_simplex,
+    embed_simplex,
+    find_simplex_of_rank,
+    isometric_orderings,
+    make_simplex,
+    mat_vec,
+    matrix_rank,
+    random_orthogonal,
+    reorder_for_prefix_ranks,
+    simplex_rank,
+)
 from fqsimplex.measures import detection_product, sample_anchor_tuple
 
 F3 = PrimeField(3)
@@ -301,6 +312,26 @@ def test_unordered_count_refuses_a_remainder(monkeypatch):
         count_isometric_copies(PointSet.full(5, 3), s, field=F5)
 
 
+def test_work_cap_refuses_before_any_walk(monkeypatch):
+    # (5,3,2): 5^(3*3 - 3) = 15625 units per set; the walk must never start
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the work cap")
+
+    s = standard_simplex(F5, 3, 2)
+    assert counting.check_work(5, 3, 2) == 15625
+    assert counting.check_work(5, 3, 2, trials=3) == 3 * 15625
+    monkeypatch.setattr(counting, "WORK_CAP", 15624)
+    monkeypatch.setattr(counting, "_walk", no_walk)
+    with pytest.raises(ValueError, match=r"1\.56e\+04 exceeds"):
+        count_isometric_copies(PointSet.full(5, 3), s, field=F5)
+    monkeypatch.setattr(counting, "WORK_CAP", 2 * 15625 - 1)
+    with pytest.raises(ValueError, match=r"3\.12e\+04 exceeds"):
+        random_set_experiment(F5, s, 0.5, trials=2, seed=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(counting, "WORK_CAP", 15625)
+    assert count_isometric_copies(PointSet.full(5, 3), s, field=F5).exact_count == 15000
+
+
 # -- the two aggregation routes ------------------------------------------------------
 
 def _route_counts(f, A, s):
@@ -347,22 +378,52 @@ def test_routes_match_naive_count_property(bits, memo_rows):
 
 def test_tree_counter_prunes_where_enumeration_descends(monkeypatch):
     # A = {0}: A & A(. + y) is empty for every y != 0, so the tree counter
-    # stops at the root, while the enumeration visits the root and all 30
-    # points of the first sphere
+    # descends into no child, while the enumeration descends into all 30
+    # points of the first sphere; each descended child makes one dots_with
     calls = []
-    original = counting.span_mask
+    original = domain.dots_with
 
-    def counted(field, vectors, d):
-        calls.append(len(vectors))
-        return original(field, vectors, d)
+    def counted(q, d, v):
+        calls.append(v)
+        return original(q, d, v)
 
-    monkeypatch.setattr(counting, "span_mask", counted)
+    monkeypatch.setattr(domain, "dots_with", counted)
     s = standard_simplex(F5, 3, 2)
     assert counting._count_embeddings(F5, PointSet.from_points(5, 3, [(0, 0, 0)]), s) == 0
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls) == 0
     assert len(support_tuples(F5, s, 2)) == 120
-    assert len(calls) == 31
+    assert len(calls) == 30
+
+
+def _oracle_simplices(field, d, k):
+    """The standard simplex, a searched simplex of every rank r < k that
+    fits in dimension d, and every extremal simplex that fits (rank-deficient
+    ones need q = 1 mod 4), each in prefix-rank order."""
+    low = max(0, 2 * k - d)
+    shapes = [standard_simplex(field, d, k)]
+    shapes += [find_simplex_of_rank(field, d, k, r) for r in range(low, k)]
+    ext_ranks = range(low, k + 1) if field.q % 4 == 1 else [k]
+    shapes += [embed_simplex(field, construct_extremal_simplex(field, k, r), d) for r in ext_ranks]
+    return [reorder_for_prefix_ranks(field, s) for s in shapes]
+
+
+@pytest.mark.parametrize("q,d,k", [(3, 2, 2), (3, 3, 3), (3, 4, 4), (5, 3, 3), (5, 4, 2), (7, 3, 2),
+                                   (3, 3, 2), (3, 4, 2)])
+def test_carried_span_matches_rank_filter(q, d, k):
+    # the walk excludes the span it carries down; the reference is the
+    # unrestricted walk filtered by a row-reduction rank.  A full-rank Gram
+    # matrix forces independence, so only rank-deficient references (whose
+    # tuples can span self-orthogonal subspaces) lose tuples to the filter
+    field = PrimeField(q)
+    dropped = 0
+    simplices = _oracle_simplices(field, d, k)
+    for s in simplices:
+        for j in range(1, k + 1):
+            every = support_tuples(field, s, j, independent=False)
+            ref = [ys for ys in every if matrix_rank(field, list(ys)) == j]
+            assert support_tuples(field, s, j) == ref
+            dropped += len(every) - len(ref)
+    assert (dropped > 0) == any(simplex_rank(field, s) < k for s in simplices)
 
 
 def test_translate_memo_stores_up_to_its_budget(monkeypatch):
