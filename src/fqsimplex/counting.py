@@ -55,6 +55,7 @@ from .measures import (
     check_anchors,
     conditional_value,
     s_weight,  # noqa: F401  (re-exported as fqsimplex.counting.s_weight)
+    span_mask,  # noqa: F401  (re-exported; the tuple walk does not call it)
     step_targets,
 )
 
