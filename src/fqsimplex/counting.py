@@ -12,17 +12,22 @@ embeddings of the reference simplex in A:
     exact_count = q^{(k+1)d - binom(k+1,2)} * script_S(1_A, ..., 1_A)
 
 which the code verifies as an exact integer identity along two aggregation
-paths.  Both rest on one walker of the constrained tuple tree, _walk:
-level l candidates are read off vectorized dot-product masks and span
-exclusion, never a sweep of all q^{kd} tuples, so the work scales with the
-support size q^{jd - binom(j+1,2)} plus O(q^d) per node.  The support list
-it enumerates is summed by one prefix-shared fold, _fold_support.
+paths.  Both rest on one walker of the constrained tuple tree, _walk, which
+visits the tree a block of nodes at a time: the candidates of every node in
+a block come out of one (nodes x q^d) boolean mask built from the length,
+dot-product and span-exclusion tests, never a sweep of all q^{kd} tuples.
+The work scales with the support size q^{jd - binom(j+1,2)} plus one q^d
+mask row per node, with no Python-level loop over candidates.  The support
+it enumerates, an array of flat point indices, is summed by one
+prefix-shared fold, _fold_support.
 
 Every vector of a support tuple lies on one of k spheres, so the tuples
 reuse far fewer distinct vectors than they contain.  Each aggregation path
-therefore memoizes the boolean translates y -> A(. + y) of the set it
-counts: a translate is computed on first use and kept while the memo holds
-at most TRANSLATE_MEMO_BYTES, then recomputed on use past that bound.
+therefore memoizes the translates y -> A(. + y) of the set it counts,
+bit-packed for indicator sets: a translate is computed on first use and
+kept while the memo holds at most TRANSLATE_MEMO_BYTES, then recomputed on
+use past that bound.  Blocks of nodes, pairs and support rows are cut to
+at most BLOCK_BYTES, so memory stays bounded at any support size.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,6 +67,12 @@ STARRED_ENUM_CAP = 1_000_000
 # Bytes of memoized translates one aggregation path keeps; past this,
 # translates are recomputed on use instead of stored.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
+# Bytes of one block of rows.  A block of tree nodes holds BLOCK_BYTES // q^d
+# nodes (one mask byte per node and point); a chunk of candidate pairs, and a
+# block of support rows in a fold, holds as many rows as BLOCK_BYTES of
+# bit-packed q^d-point rows.  2^18 cost 5% more peak memory on a sparse
+# (5,4,3) count than 2^17 for no speed at that size.
+BLOCK_BYTES = 2 ** 17
 # Largest estimated work a count may start (see check_work).  The counting
 # routes run at about a nanosecond per unit, so this is ~20 minutes.
 WORK_CAP = 10 ** 12
@@ -144,62 +154,124 @@ class PointSet:
 # weighted tuple sums
 # ---------------------------------------------------------------------------
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes bytes that one block of BLOCK_BYTES holds (at least 1)."""
+    return max(1, BLOCK_BYTES // row_bytes)
+
+
 def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
-          step: Callable, root) -> None:
-    """Depth-first walk of the tuples (y_1, ..., y_j) matching the reference
-    dot products, optionally restricted to linearly independent tuples.
+          grow: Callable, root) -> None:
+    """Level-synchronous walk of the tuples (y_1, ..., y_j) matching the
+    reference dot products, optionally restricted to linearly independent
+    tuples, a block of nodes at a time.
 
-    step(state, chosen, y) is called on every candidate y extending the
-    tuple chosen, in index order, and returns the state of the child
-    chosen + [y], or None to prune its subtree; the root carries root.
-    Candidates at each level come from vectorized masks over the domain;
-    cached dot arrays for already-chosen vectors keep each node at O(q^d).
+    A block of N level-l nodes is held as arrays: chosen, the (N, l) flat
+    indices of each node's tuple, and states, the route states of its
+    nodes (the root block's states are root).  One (N, q^d) mask gives the
+    candidates of every node in the block: the length test, one dot-product
+    test per chosen column and span exclusion.  Its nonzero (parent, y)
+    pairs, in walk order, go to grow(level, states, parent, y) in chunks of
+    at most BLOCK_BYTES // ceil(q^d / 8) pairs (one bit-packed row each),
+    parent indexing the block's rows and y holding flat indices.  Below the
+    last level grow returns (keep, child_states), keep a boolean array
+    selecting the pairs to descend into; the kept children of a chunk are
+    walked, in blocks of at most BLOCK_BYTES // q^d nodes, before the next
+    chunk, so tuples sharing a prefix stay adjacent and memory stays
+    bounded.  At the last level its return value is ignored.
 
-    Independence is enforced by masking out Span(chosen), which each node
-    receives from its parent as the array of its q^level points: the root
-    holds {0}, and a child widens its parent's span by the line through y,
-    span + t*y for t in F_q.  The mask has already removed Span(chosen), so
-    y is independent of chosen and the widened points are distinct; no
-    row reduction and no per-candidate rank computation is needed."""
+    A dot product x.u splits over the low h and high d - h coordinates of
+    x, which are the low and high digits of its flat index, so the test
+    x.u = g (mod q) over all x compares a q^(d-h)-entry table of the high
+    part with a q^h-entry table of g minus the low part: one comparison per
+    (node, point), and dots stay exact in int64 at every admitted (q, d).
+
+    Independence is enforced by masking out Span(chosen), which each block
+    carries as an (N, q^l) array of flat indices: the root holds {0}, and a
+    child widens its parent's span by the line through y, span + t*y for t
+    in F_q.  The mask has already removed Span(chosen), so y is independent
+    of chosen and the widened points are distinct; no row reduction and no
+    per-candidate rank computation is needed."""
+    if j < 1:
+        return
     q = field.q
     d = simplex.d
+    n = domain.domain_size(q, d)
     gram = gram_matrix(field, simplex)
     lengths = domain.lengths_vector(q, d)
     coords = domain.coords_matrix(q, d)
-    line = np.arange(q, dtype=np.int64)[:, None, None]
+    h = d // 2
+    low = domain.coords_matrix(q, h).astype(np.int64)
+    high = domain.coords_matrix(q, d - h).astype(np.int64)
+    line = np.arange(q, dtype=np.int64)[:, None]
+    nodes = _block_rows(n)
+    pairs = _block_rows(-(-n // 8))
 
-    def descend(chosen: list, dot_arrays: list, span: np.ndarray, state):
-        level = len(chosen)
-        mask = lengths == gram[level][level]
+    def candidates(level: int, chosen: np.ndarray, span) -> np.ndarray:
+        rows = len(chosen)
+        mask = np.empty((rows, n), dtype=bool)
+        mask[:] = lengths == gram[level][level]
+        grid = mask.reshape(rows, high.shape[0], low.shape[0])
         for i in range(level):
-            mask &= dot_arrays[i] == gram[i][level]
-        if independent:
-            mask[domain.index_array(span, q)] = False
-        for y in map(tuple, coords[mask].tolist()):
-            child = step(state, chosen, y)
-            if child is not None and level + 1 < j:
-                wider = ((span[None] + line * np.asarray(y, dtype=np.int64)) % q).reshape(-1, d)
-                descend(chosen + [y], dot_arrays + [domain.dots_with(q, d, y)], wider, child)
+            u = coords[chosen[:, i]].astype(np.int64)
+            rest = (gram[i][level] - u[:, :h] @ low.T) % q
+            grid &= ((u[:, h:] @ high.T) % q)[:, :, None] == rest[:, None, :]
+        if span is not None:
+            mask[np.arange(rows)[:, None], span] = False
+        return mask
 
-    descend([], [], np.zeros((1, d), dtype=np.int64), root)
+    def widen(span: np.ndarray, y: np.ndarray) -> np.ndarray:
+        points = coords[span]
+        step = coords[y].astype(np.int64)
+        out = np.zeros((len(y), q, span.shape[1]), dtype=np.int64)
+        for c in range(d):
+            out += ((points[:, None, :, c] + line * step[:, None, c, None]) % q) * q ** c
+        return out.reshape(len(y), -1)
+
+    def descend(level: int, chosen: np.ndarray, span, states) -> None:
+        parents, ys = np.nonzero(candidates(level, chosen, span))
+        for start in range(0, len(ys), pairs):
+            parent, y = parents[start:start + pairs], ys[start:start + pairs]
+            grown = grow(level, states, parent, y)
+            if level + 1 == j:
+                continue
+            keep, child_states = grown
+            parent, y = parent[keep], y[keep]
+            for first in range(0, len(y), nodes):
+                block = slice(first, first + nodes)
+                descend(level + 1, np.column_stack([chosen[parent[block]], y[block]]),
+                        widen(span[parent[block]], y[block]) if independent else None,
+                        child_states[block])
+
+    descend(0, np.zeros((1, 0), dtype=np.int64),
+            np.zeros((1, 1), dtype=np.int64) if independent else None, root)
     del descend  # the closure refers to itself; free it without the cyclic GC
+
+
+def _support_indices(field: PrimeField, simplex: Simplex, j: int, independent: bool = True) -> np.ndarray:
+    """The support tuples as an (N, j) int64 array of flat point indices,
+    in walk order (rows sharing a prefix are adjacent)."""
+    if j > simplex.k:
+        raise ValueError("j exceeds the reference simplex size")
+    parts: list = []
+
+    def grow(level: int, chosen: np.ndarray, parent: np.ndarray, y: np.ndarray):
+        tuples = np.column_stack([chosen[parent], y])
+        if level + 1 == j:
+            parts.append(tuples)
+            return None
+        return np.ones(len(y), dtype=bool), tuples
+
+    _walk(field, simplex, j, independent, grow, root=np.zeros((1, 0), dtype=np.int64))
+    return np.concatenate(parts) if parts else np.zeros((0, j), dtype=np.int64)
 
 
 def support_tuples(field: PrimeField, simplex: Simplex, j: int, independent: bool = True) -> list:
     """All tuples (y_1, ..., y_j) matching the reference dot products,
     optionally restricted to linearly independent tuples, in walk order
     (tuples sharing a prefix are adjacent)."""
-    if j > simplex.k:
-        raise ValueError("j exceeds the reference simplex size")
-    out: list = []
-
-    def step(state, chosen: list, y):
-        if len(chosen) + 1 == j:
-            out.append(tuple(chosen) + (y,))
-        return state
-
-    _walk(field, simplex, j, independent, step, root=True)
-    return out
+    support = _support_indices(field, simplex, j, independent)
+    points = domain.coords_matrix(field.q, simplex.d)[support].tolist()
+    return [tuple(map(tuple, ys)) for ys in points]
 
 
 def starred_average(func: Callable, field: PrimeField, d: int, j: int) -> float:
@@ -231,9 +303,10 @@ def starred_average(func: Callable, field: PrimeField, d: int, j: int) -> float:
 
 
 def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex,
-             support: Optional[list] = None) -> float:
+             support: Optional[np.ndarray] = None) -> float:
     """The normalized weighted count script_S_j(f_0, ..., f_j) for the
-    j = len(fs) - 1 prefix of the reference simplex."""
+    j = len(fs) - 1 prefix of the reference simplex.  support, if given,
+    is the (N, j) flat-index support array of the walk."""
     j = len(fs) - 1
     if j < 1:
         raise ValueError("need at least two functions")
@@ -243,35 +316,39 @@ def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex,
         if (f.q, f.d) != (q, d):
             raise ValueError("function shape does not match the simplex domain")
     if support is None:
-        support = support_tuples(field, simplex, j)
-    translates = [partial(domain.translate_values, f.values, q, d) for f in fs[1:]]
-    total = _fold_support(support, fs[0].values, translates, np.multiply, np.mean)
+        support = _support_indices(field, simplex, j)
+    translates = _translate_memos([f.values for f in fs[1:]], q, d)
+    total = _fold_support(support, fs[0].values, translates, np.multiply,
+                          lambda acc: acc.mean(axis=1).sum())
     scale = float(q) ** (math.comb(j + 1, 2) - j * d)
     return float((total * scale).real)
 
 
-def _fold_support(support: list, first: np.ndarray, translates: Sequence[Callable],
+def _fold_support(support: np.ndarray, first: np.ndarray, translates: Sequence[Callable],
                   combine: Callable, reduce: Callable):
-    """Sum over the support tuples ys of reduce(acc), where acc combines
-    first with translates[i](ys[i]) for i = 0, 1, ... in that order.
+    """Sum of reduce(acc) over blocks of the support rows ys, where row r of
+    acc combines first with translates[i](ys[r, i]) for i = 0, 1, ... in
+    that order; translates[i] maps an array of flat indices to rows.
 
-    The support lists come out of the walk in prefix order, so the
-    accumulators of a tuple prefix shared with the previous tuple are
-    reused rather than recomputed."""
+    A block holds as many support rows as BLOCK_BYTES of accumulator rows
+    (rows shaped like first).
+    The walk emits rows sharing a prefix adjacently, so within a block the
+    accumulator of each distinct prefix is computed once: at column i the
+    rows whose first i + 1 entries differ from the row before start a new
+    prefix, and only those combine with a fresh translate."""
     total = 0
-    prefix: list = []
-    accs = [first]
-    for ys in support:
-        shared = 0
-        while shared < len(prefix) and prefix[shared] == ys[shared]:
-            shared += 1
-        del prefix[shared:]
-        del accs[shared + 1:]
-        while len(prefix) < len(ys):
-            y = ys[len(prefix)]
-            accs.append(combine(accs[-1], translates[len(prefix)](y)))
-            prefix.append(y)
-        total += reduce(accs[-1])
+    rows = _block_rows(first.nbytes)
+    for start in range(0, len(support), rows):
+        ys = support[start:start + rows]
+        acc = first[None]
+        owner = np.zeros(len(ys), dtype=np.intp)
+        for i, translate in enumerate(translates):
+            fresh = np.ones(len(ys), dtype=bool)
+            fresh[1:] = (ys[1:, :i + 1] != ys[:-1, :i + 1]).any(axis=1)
+            starts = np.flatnonzero(fresh)
+            acc = combine(acc[owner[starts]], translate(ys[starts, i]))
+            owner = np.cumsum(fresh) - 1
+        total += reduce(acc)
     return total
 
 
@@ -285,45 +362,88 @@ def _indicator(mask) -> np.ndarray:
     return arr
 
 
-def _translate_memo(values: np.ndarray, q: int, d: int, budget: int) -> Callable:
-    """y -> values(. + y), each translate computed on first use and stored
-    while the stored rows take at most budget bytes; past that, rows are
-    recomputed on use."""
-    rows: dict = {}
-    room = budget // values.nbytes
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """Boolean rows (last axis) bit-packed into zero-padded uint64 words, so
+    intersection is bitwise_and and counting is a popcount."""
+    bits = np.packbits(mask, axis=-1)
+    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 8) * 8,), dtype=np.uint8)
+    words[..., :bits.shape[-1]] = bits
+    return words.view(np.uint64)
 
-    def translate(y) -> np.ndarray:
-        y = tuple(y)
-        row = rows.get(y)
-        if row is None:
-            row = domain.translate_values(values, q, d, y)
-            if len(rows) < room:
-                rows[y] = row
-        return row
+
+def _popcount(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
+
+
+def _translate_memo(values: np.ndarray, q: int, d: int, budget: int) -> Callable:
+    """ys -> the rows values(. + y) for an array ys of flat indices, bit-packed
+    by _pack when values is boolean.  Each row is computed through
+    domain.translate_values on first use and stored while the stored rows
+    take at most budget bytes; past that, a row is recomputed in every call
+    that asks for it."""
+    n = values.shape[0]
+    points = domain.coords_matrix(q, d)
+    encode = _pack if values.dtype == bool else np.asarray
+    width = encode(values).nbytes
+    room = min(n, budget // width)
+    slot = np.full(n, -1, dtype=np.int32)  # row of each stored translate; n <= DOMAIN_CAP < 2^31
+    store = None
+    used = 0
+
+    def translate(ys: np.ndarray) -> np.ndarray:
+        nonlocal store, used
+        where = slot[ys]
+        missing = np.unique(ys[where < 0])
+        if not missing.size:
+            return store[where]
+        rows = np.stack([encode(domain.translate_values(values, q, d, tuple(points[y].tolist())))
+                         for y in missing])
+        fit = min(len(missing), room - used)
+        if fit:
+            if store is None:
+                store = np.empty((room,) + rows.shape[1:], dtype=rows.dtype)
+            store[used:used + fit] = rows[:fit]
+            slot[missing[:fit]] = np.arange(used, used + fit)
+            used += fit
+            where = slot[ys]
+        out = np.empty((len(ys),) + rows.shape[1:], dtype=rows.dtype)
+        stored = where >= 0
+        if stored.any():
+            out[stored] = store[where[stored]]
+        out[~stored] = rows[np.searchsorted(missing, ys[~stored])]
+        return out
 
     return translate
 
 
-def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], simplex: Simplex,
-                             support: Optional[list] = None) -> Fraction:
-    """Exact rational script_S for 0/1 indicator inputs, aggregated by
-    boolean intersection and counting (a separate path from the embedding
-    counter).  A mask holding any other value raises ValueError.
+def _translate_memos(arrays: Sequence[np.ndarray], q: int, d: int) -> list:
+    """One translate memo per distinct array (by identity), splitting
+    TRANSLATE_MEMO_BYTES between them; the list follows arrays."""
+    distinct = {id(a): a for a in arrays}
+    memos = {key: _translate_memo(a, q, d, TRANSLATE_MEMO_BYTES // len(distinct))
+             for key, a in distinct.items()}
+    return [memos[id(a)] for a in arrays]
 
-    The support list comes out of the enumeration in prefix order, so the
-    intersections for a shared tuple prefix are computed once; translates
-    come from a memo per distinct mask, bounded by TRANSLATE_MEMO_BYTES
-    in total."""
+
+def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], simplex: Simplex,
+                             support: Optional[np.ndarray] = None) -> Fraction:
+    """Exact rational script_S for 0/1 indicator inputs, aggregated by
+    bit-packed intersection and popcount (a separate path from the
+    embedding counter).  A mask holding any other value raises ValueError.
+    support, if given, is the (N, j) flat-index support array of the walk.
+
+    The support rows come out of the enumeration in prefix order, so the
+    intersections for a shared tuple prefix are computed once per block;
+    translates come from a memo per distinct mask, bounded by
+    TRANSLATE_MEMO_BYTES in total."""
     j = len(masks) - 1
     q = field.q
     d = simplex.d
     if support is None:
-        support = support_tuples(field, simplex, j)
-    distinct = {id(m): m for m in masks[1:]}
-    memos = {key: _translate_memo(_indicator(m), q, d, TRANSLATE_MEMO_BYTES // len(distinct))
-             for key, m in distinct.items()}
-    translates = [memos[id(m)] for m in masks[1:]]
-    total = _fold_support(support, _indicator(masks[0]), translates, np.logical_and, np.count_nonzero)
+        support = _support_indices(field, simplex, j)
+    indicators = {id(m): _indicator(m) for m in masks}
+    translates = _translate_memos([indicators[id(m)] for m in masks[1:]], q, d)
+    total = _fold_support(support, _pack(indicators[id(masks[0])]), translates, np.bitwise_and, _popcount)
     return Fraction(q ** math.comb(j + 1, 2) * total, q ** ((j + 1) * d))
 
 
@@ -389,22 +509,24 @@ def gram_preserving_orderings(field: PrimeField, simplex: Simplex) -> int:
 
 def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
     """Boolean embedding counter: walks the constrained tuple tree carrying
-    the running intersection of A and the translates A(. + y_i), so shared
-    prefixes share work and empty intersections prune whole subtrees.
-    Translates come from a memo bounded by TRANSLATE_MEMO_BYTES."""
+    the running intersection of A and the translates A(. + y_i) as
+    bit-packed rows, so shared prefixes share work and empty intersections
+    prune whole subtrees; leaves are counted by popcount.  Translates come
+    from a memo bounded by TRANSLATE_MEMO_BYTES."""
     q, d, k = A.q, A.d, simplex.k
     translate = _translate_memo(A.mask, q, d, TRANSLATE_MEMO_BYTES)
     total = 0
 
-    def step(hits: np.ndarray, chosen: list, y):
+    def grow(level: int, hits: np.ndarray, parent: np.ndarray, y: np.ndarray):
         nonlocal total
-        deeper = hits & translate(y)
-        if len(chosen) + 1 == k:
-            total += int(np.count_nonzero(deeper))
+        deeper = hits[parent] & translate(y)
+        if level + 1 == k:
+            total += _popcount(deeper)
             return None
-        return deeper if deeper.any() else None
+        keep = deeper.any(axis=1)
+        return keep, deeper[keep]
 
-    _walk(field, simplex, k, True, step, root=A.mask)
+    _walk(field, simplex, k, True, grow, root=_pack(A.mask)[None])
     return total
 
 
@@ -421,7 +543,7 @@ def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
 
 
 def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeField] = None,
-                           support: Optional[list] = None, trial: Optional[int] = None) -> CountReport:
+                           support: Optional[np.ndarray] = None, trial: Optional[int] = None) -> CountReport:
     """Exact number of tuples (x, y_1..y_k) with independent y's such that
     x and every x + y_i lie in A and (0, y_1..y_k) is ordered-isometric to
     the reference simplex.
@@ -430,6 +552,8 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     path (separate enumeration, separate aggregation, each with its own
     bounded memo of translates of A) and insists they agree as integers
     before reporting; unordered_count must divide exactly as well.
+    support, if given, is the (N, k) flat-index support array of the walk,
+    shared by calls on the same simplex.
     """
     field = field or PrimeField(A.q)
     if (A.q, A.d) != (simplex.q, simplex.d):
@@ -591,7 +715,7 @@ def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, tri
 
     The master seed expands through a splittable seed sequence, one child
     per trial, so each trial's set depends only on the seed and its index.
-    Trials run one after another and share one enumerated support list.
+    Trials run one after another and share one enumerated support array.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -603,7 +727,7 @@ def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, tri
             f"d = {d} is at most 2k - r = {2 * simplex.k - r}: the count may be degenerate",
             stacklevel=2,
         )
-    support = support_tuples(field, simplex, simplex.k)
+    support = _support_indices(field, simplex, simplex.k)
     children = np.random.SeedSequence(seed).spawn(trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

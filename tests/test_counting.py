@@ -376,23 +376,110 @@ def test_routes_match_naive_count_property(bits, memo_rows):
         counting.TRANSLATE_MEMO_BYTES = saved
 
 
+# BLOCK_BYTES = 1 cuts every block to one row: one node per walk block, one
+# pair per grow call and one support row per fold block.
+ONE_ROW = 1
+
+
+@pytest.mark.parametrize("q,d,k", [(5, 2, 1), (3, 3, 2), (5, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize("kind", ["empty", "full", 0.3, 0.7])
+def test_routes_match_naive_count_across_block_sizes(q, d, k, kind, monkeypatch):
+    # q^d = 25, 27 and 125 leave packbits padding in the last word of a row
+    f = PrimeField(q)
+    s = standard_simplex(f, d, k)
+    if kind == "empty":
+        A = PointSet.empty(q, d)
+    elif kind == "full":
+        A = PointSet.full(q, d)
+    else:
+        A = PointSet.random(q, d, kind, np.random.default_rng(int(kind * 10) + k))
+    expected = naive_embedding_count(f, A, s)
+    for block in [counting.BLOCK_BYTES, ONE_ROW, 3 * q ** d]:
+        monkeypatch.setattr(counting, "BLOCK_BYTES", block)
+        assert _route_counts(f, A, s) == (expected, expected)
+
+
+@pytest.mark.parametrize("q,d,k", [(3, 3, 3), (3, 4, 4), (5, 3, 3), (5, 4, 2), (7, 3, 2)])
+def test_support_tuples_do_not_depend_on_block_size(q, d, k, monkeypatch):
+    field = PrimeField(q)
+    for s in _oracle_simplices(field, d, k):
+        for j in range(1, k + 1):
+            for independent in (True, False):
+                ref = support_tuples(field, s, j, independent)
+                for block in [ONE_ROW, 2 * q ** d + 1]:
+                    monkeypatch.setattr(counting, "BLOCK_BYTES", block)
+                    assert support_tuples(field, s, j, independent) == ref
+                monkeypatch.undo()
+
+
+@settings(max_examples=30, deadline=None)
+@given(bits=st.lists(st.booleans(), min_size=27, max_size=27), memo_rows=st.sampled_from([0, 1, 4, 100]),
+       block=st.sampled_from([ONE_ROW, 27, 2 * 27 + 5, counting.BLOCK_BYTES]))
+def test_routes_match_naive_count_with_block_and_memo_sizes(bits, memo_rows, block):
+    A = PointSet(3, 3, np.array(bits))
+    s = standard_simplex(F3, 3, 2)
+    expected = naive_embedding_count(F3, A, s)
+    saved = counting.TRANSLATE_MEMO_BYTES, counting.BLOCK_BYTES
+    counting.TRANSLATE_MEMO_BYTES = memo_rows * 8  # one packed row of 27 points is one word
+    counting.BLOCK_BYTES = block
+    try:
+        assert _route_counts(F3, A, s) == (expected, expected)
+    finally:
+        counting.TRANSLATE_MEMO_BYTES, counting.BLOCK_BYTES = saved
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), case=st.sampled_from([(3, 3, 2), (5, 2, 1)]))
+def test_float_fold_matches_exact_fold_on_indicators(data, case):
+    # the float fold sums in another order than the exact one; on 0/1
+    # functions both evaluate the same rational number
+    q, d, k = case
+    field = PrimeField(q)
+    s = standard_simplex(field, d, k)
+    masks = [np.array(data.draw(st.lists(st.booleans(), min_size=q ** d, max_size=q ** d)))
+             for _ in range(k + 1)]
+    fs = [DenseFunction(q, d, m.astype(np.complex128)) for m in masks]
+    exact = script_S_indicator_exact(field, masks, s)
+    assert script_S(field, fs, s) == pytest.approx(float(exact), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q,d,k", [(5, 3, 2), (3, 3, 3)])
+def test_fold_does_not_depend_on_support_order(q, d, k):
+    # walk order only lets adjacent rows share prefixes; rows sorted by
+    # their last column put equal suffixes under different prefixes side
+    # by side, which must not share an accumulator
+    field = PrimeField(q)
+    s = standard_simplex(field, d, k)
+    rng = np.random.default_rng(q + k)
+    masks = [rng.random(q ** d) < 0.6 for _ in range(k + 1)]
+    support = counting._support_indices(field, s, k)
+    exact = script_S_indicator_exact(field, masks, s)
+    for order in [np.arange(len(support))[::-1], np.argsort(support[:, -1], kind="stable")]:
+        assert script_S_indicator_exact(field, masks, s, support=support[order]) == exact
+
+
 def test_tree_counter_prunes_where_enumeration_descends(monkeypatch):
     # A = {0}: A & A(. + y) is empty for every y != 0, so the tree counter
-    # descends into no child, while the enumeration descends into all 30
-    # points of the first sphere; each descended child makes one dots_with
-    calls = []
-    original = domain.dots_with
+    # expands no level-1 node, while the enumeration expands all 30 points
+    # of the first sphere; a level-1 node is expanded when grow keeps it
+    expanded = []
+    walk = counting._walk
 
-    def counted(q, d, v):
-        calls.append(v)
-        return original(q, d, v)
+    def counted_walk(field, simplex, j, independent, grow, root):
+        def counted_grow(level, states, parent, y):
+            grown = grow(level, states, parent, y)
+            if level == 0:
+                expanded.append(int(np.count_nonzero(grown[0])))
+            return grown
 
-    monkeypatch.setattr(domain, "dots_with", counted)
+        walk(field, simplex, j, independent, counted_grow, root)
+
+    monkeypatch.setattr(counting, "_walk", counted_walk)
     s = standard_simplex(F5, 3, 2)
     assert counting._count_embeddings(F5, PointSet.from_points(5, 3, [(0, 0, 0)]), s) == 0
-    assert len(calls) == 0
+    assert sum(expanded) == 0
     assert len(support_tuples(F5, s, 2)) == 120
-    assert len(calls) == 30
+    assert sum(expanded) == 30
 
 
 def _oracle_simplices(field, d, k):
@@ -437,12 +524,21 @@ def test_translate_memo_stores_up_to_its_budget(monkeypatch):
     monkeypatch.setattr(domain, "translate_values", counted)
     mask = PointSet.random(5, 2, 0.5, np.random.default_rng(3)).mask
     ys = [(1, 0), (0, 1), (2, 3), (4, 4), (3, 1)]
-    for rows, expected_calls in [(10, 5), (2, 8), (0, 10)]:
+    flat = np.array([domain.index_of(y, 5) for y in ys])
+    for values, encode in [(mask, counting._pack), (mask.astype(np.complex128), np.asarray)]:
+        expected = encode(np.stack([original(values, 5, 2, y) for y in ys]))
+        width = expected[0].nbytes
+        for rows, expected_calls in [(10, 5), (2, 8), (0, 10)]:
+            calls.clear()
+            translate = counting._translate_memo(values, 5, 2, rows * width)
+            for _ in range(2):
+                assert np.array_equal(translate(flat), expected)
+            assert len(calls) == expected_calls
+        # a row asked for twice in one call is computed once
         calls.clear()
-        translate = counting._translate_memo(mask, 5, 2, rows * mask.nbytes)
-        for y in ys + ys:
-            assert np.array_equal(translate(y), original(mask, 5, 2, y))
-        assert len(calls) == expected_calls
+        translate = counting._translate_memo(values, 5, 2, 0)
+        assert np.array_equal(translate(np.concatenate([flat, flat])), np.concatenate([expected, expected]))
+        assert len(calls) == 5
 
 
 def test_script_S_exact_rejects_non_indicator_masks():

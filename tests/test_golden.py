@@ -40,6 +40,10 @@ COMMANDS = {
     "count_40009_1_1_full": ("count", "--q", "40009", "--d", "1", "--k", "1", "--set", "full"),
     "random_experiment_5_3_2": ("random-experiment", "--q", "5", "--d", "3", "--k", "2",
                                 "--trials", "3"),
+    "random_experiment_7_4_2": ("random-experiment", "--q", "7", "--d", "4", "--k", "2",
+                                "--alpha", "0.3", "--trials", "3", "--seed", "1"),
+    "count_11_4_2_random": ("count", "--q", "11", "--d", "4", "--k", "2", *RANDOM,
+                            "--alpha", "0.3", "--seed", "1"),
 }
 
 
