@@ -25,6 +25,11 @@ from .field import PrimeField, is_prime
 from .fourier import chi_values
 from .linalg import length_sq, vec_reduce
 
+# Bytes of one block of quadratic_sum_table's chi values; a bound on its
+# working memory at any q^d, not a tuning knob (blocks of 0.5 and 32 MB
+# ran equally fast at (11,3)).
+TABLE_BLOCK_BYTES = 2 ** 19
+
 
 def gauss_sum(field: PrimeField) -> complex:
     """G = sum_x chi(x^2), by direct summation."""
@@ -33,8 +38,10 @@ def gauss_sum(field: PrimeField) -> complex:
     return complex(chi_values(field, res).sum())
 
 
-def quadratic_sum_closed_form(field: PrimeField, a: int, b, d: int | None = None) -> complex:
-    """The completed-square value G^d eta(a)^d chi(-|b|^2 / 4a); a != 0."""
+def quadratic_sum_closed_form(field: PrimeField, a: int, b, d: int | None = None,
+                              g: complex | None = None) -> complex:
+    """The completed-square value G^d eta(a)^d chi(-|b|^2 / 4a); a != 0.
+    g, if given, is gauss_sum(field), for callers that evaluate many (a, b)."""
     q = field.q
     a %= q
     if a == 0:
@@ -44,13 +51,16 @@ def quadratic_sum_closed_form(field: PrimeField, a: int, b, d: int | None = None
         d = len(b)
     elif d != len(b):
         raise ValueError("d does not match the length of b")
-    g = gauss_sum(field)
+    if g is None:
+        g = gauss_sum(field)
     arg = (-length_sq(field, b) * field.inv((4 * a) % q)) % q
     return (g ** d) * (field.eta(a) ** d) * field.chi(arg)
 
 
 def quadratic_sum_bruteforce(field: PrimeField, a: int, b, d: int | None = None) -> complex:
-    """Direct summation of chi(a|x|^2 + b.x) over the whole domain."""
+    """Direct summation of chi(a|x|^2 + b.x) over the whole domain, one
+    (a, b) at a time: the oracle that quadratic_sum_table is checked
+    against."""
     q = field.q
     b = vec_reduce(b, q)
     if d is None:
@@ -58,6 +68,31 @@ def quadratic_sum_bruteforce(field: PrimeField, a: int, b, d: int | None = None)
     phases = (a % q) * domain.lengths_vector(q, d).astype(np.int64)
     phases = (phases + domain.dots_with(q, d, b)) % q
     return complex(chi_values(field, phases).sum())
+
+
+def quadratic_sum_table(field: PrimeField, d: int) -> np.ndarray:
+    """sum_x chi(a|x|^2 + b.x) for every a in F_q^* and b in F_q^d: row
+    a - 1, column the flat index of b.
+
+    Built a block of b at a time: the dots x.b mod q of the block are
+    computed once and shared by every a, and chi is read from a table of
+    2q entries at (a|x|^2 mod q) + x.b, so no reduction mod q runs over the
+    block.  Each entry sums the same chi values as quadratic_sum_bruteforce
+    along one contiguous row, which numpy sums pairwise as it sums the
+    1-D array there, so the two agree bit for bit."""
+    q = field.q
+    n = domain.domain_size(q, d)
+    coords = domain.coords_matrix(q, d).astype(np.int64)
+    lengths = domain.lengths_vector(q, d).astype(np.int64)
+    chi = chi_values(field, np.arange(2 * q))
+    out = np.empty((q - 1, n), dtype=np.complex128)
+    rows = max(1, TABLE_BLOCK_BYTES // (chi.itemsize * n))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        dots = (coords[block] @ coords.T) % q
+        for a in range(1, q):
+            out[a - 1, block] = chi[((a * lengths) % q) + dots].sum(axis=1)
+    return out
 
 
 def twisted_kloosterman(field: PrimeField, n: int, a: int, b: int) -> complex:
@@ -105,18 +140,20 @@ class WeilAuditRow:
         }
 
 
-def _twisted_table(field: PrimeField, n: int) -> np.ndarray:
-    """All sums for a in F_q^*, b in F_q at once; rows a-1, columns b."""
+def _twisted_tables(field: PrimeField):
+    """|sum| for all a in F_q^*, b in F_q, for n = 0 and then n = 1; rows
+    a - 1, columns b.  The factors chi(a s) and chi(b / s) are built once
+    for both parities; the two products stay separate gemms, so each table
+    holds the bits of its own parity's product."""
     q = field.q
     s = np.arange(1, q, dtype=np.int64)
     inv_s = np.array([field.inv(int(x)) for x in s], dtype=np.int64)
     eta_s = np.array([field.eta(int(x)) for x in s], dtype=np.float64)
     a_col = np.arange(1, q, dtype=np.int64)[:, None]
     left = chi_values(field, a_col * s[None, :])
-    if n % 2:
-        left = left * eta_s[None, :]
     right = chi_values(field, inv_s[:, None] * np.arange(q, dtype=np.int64)[None, :])
-    return left @ right
+    yield np.abs(left @ right)
+    yield np.abs((left * eta_s[None, :]) @ right)
 
 
 def weil_bound_audit(q_max: int, bound_constant: float = 2.0) -> list:
@@ -131,8 +168,7 @@ def weil_bound_audit(q_max: int, bound_constant: float = 2.0) -> list:
             continue
         field = PrimeField(q)
         best = None
-        for n in (0, 1):
-            table = np.abs(_twisted_table(field, n))
+        for n, table in enumerate(_twisted_tables(field)):
             flat = int(np.argmax(table))
             a = flat // q + 1
             b = flat % q

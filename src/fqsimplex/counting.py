@@ -42,7 +42,7 @@ import numpy as np
 
 from . import domain
 from .field import PrimeField
-from .fourier import DenseFunction, fourier_transform
+from .fourier import DenseFunction, transform_rows
 from .linalg import (
     Simplex,
     gram_matrix,
@@ -55,8 +55,8 @@ from .linalg import (
     subspace_span,
 )
 from .measures import (
-    build_conditional,
     check_anchors,
+    conditional_masks,
     conditional_value,
     s_weight,  # noqa: F401  (re-exported as fqsimplex.counting.s_weight)
     span_mask,  # noqa: F401  (re-exported; the tuple walk does not call it)
@@ -168,22 +168,17 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
     A block of N level-l nodes is held as arrays: chosen, the (N, l) flat
     indices of each node's tuple, and states, the route states of its
     nodes (the root block's states are root).  One (N, q^d) mask gives the
-    candidates of every node in the block: the length test, one dot-product
-    test per chosen column and span exclusion.  Its nonzero (parent, y)
-    pairs, in walk order, go to grow(level, states, parent, y) in chunks of
-    at most BLOCK_BYTES // ceil(q^d / 8) pairs (one bit-packed row each),
+    candidates of every node in the block: measures.conditional_masks (the
+    length test and one dot-product test per chosen column), then span
+    exclusion.  Its nonzero (parent, y) pairs, in walk order, go to
+    grow(level, states, parent, y) in chunks of at most
+    BLOCK_BYTES // ceil(q^d / 8) pairs (one bit-packed row each),
     parent indexing the block's rows and y holding flat indices.  Below the
     last level grow returns (keep, child_states), keep a boolean array
     selecting the pairs to descend into; the kept children of a chunk are
     walked, in blocks of at most BLOCK_BYTES // q^d nodes, before the next
     chunk, so tuples sharing a prefix stay adjacent and memory stays
     bounded.  At the last level its return value is ignored.
-
-    A dot product x.u splits over the low h and high d - h coordinates of
-    x, which are the low and high digits of its flat index, so the test
-    x.u = g (mod q) over all x compares a q^(d-h)-entry table of the high
-    part with a q^h-entry table of g minus the low part: one comparison per
-    (node, point), and dots stay exact in int64 at every admitted (q, d).
 
     Independence is enforced by masking out Span(chosen), which each block
     carries as an (N, q^l) array of flat indices: the root holds {0}, and a
@@ -197,26 +192,15 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
     d = simplex.d
     n = domain.domain_size(q, d)
     gram = gram_matrix(field, simplex)
-    lengths = domain.lengths_vector(q, d)
     coords = domain.coords_matrix(q, d)
-    h = d // 2
-    low = domain.coords_matrix(q, h).astype(np.int64)
-    high = domain.coords_matrix(q, d - h).astype(np.int64)
     line = np.arange(q, dtype=np.int64)[:, None]
     nodes = _block_rows(n)
     pairs = _block_rows(-(-n // 8))
 
     def candidates(level: int, chosen: np.ndarray, span) -> np.ndarray:
-        rows = len(chosen)
-        mask = np.empty((rows, n), dtype=bool)
-        mask[:] = lengths == gram[level][level]
-        grid = mask.reshape(rows, high.shape[0], low.shape[0])
-        for i in range(level):
-            u = coords[chosen[:, i]].astype(np.int64)
-            rest = (gram[i][level] - u[:, :h] @ low.T) % q
-            grid &= ((u[:, h:] @ high.T) % q)[:, :, None] == rest[:, None, :]
+        mask = conditional_masks(q, d, chosen, [gram[i][level] for i in range(level + 1)])
         if span is not None:
-            mask[np.arange(rows)[:, None], span] = False
+            mask[np.arange(len(chosen))[:, None], span] = False
         return mask
 
     def widen(span: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -530,16 +514,36 @@ def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
     return total
 
 
+def _refuse_above_cap(work: int, formula: str) -> int:
+    """work, or ValueError naming formula when it exceeds WORK_CAP."""
+    if work > WORK_CAP:
+        raise ValueError(f"estimated work {formula} = {work:.3g} exceeds the cap {WORK_CAP:.3g}")
+    return work
+
+
 def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
     """Work estimate of counting k-simplices in F_q^d over trials sets:
     the count identity's scale q^{(k+1)d - binom(k+1,2)} times trials.
     Raises ValueError above WORK_CAP, so a run that cannot finish is
     refused before it starts."""
-    work = q ** ((k + 1) * d - math.comb(k + 1, 2)) * trials
-    if work > WORK_CAP:
-        raise ValueError(f"estimated work q^((k+1)d - C(k+1,2)) x trials = {work:.3g} "
-                         f"exceeds the cap {WORK_CAP:.3g}")
-    return work
+    return _refuse_above_cap(q ** ((k + 1) * d - math.comb(k + 1, 2)) * trials,
+                             "q^((k+1)d - C(k+1,2)) x trials")
+
+
+def check_lemma_work(q: int, d: int, which: str, j: int = 1) -> int:
+    """Work estimate of one verification run, refused above WORK_CAP as in
+    check_work.  which is "4.2" (the walk to level j scans q^d points for
+    each of ~q^{(j-1)d - binom(j,2)} nodes), "4.3" (one d q^{d+1}
+    transform per anchor, ~q^{(j-1)d - binom(j,2)} anchors) or
+    "verify-gauss" ((q - 1) q^d quadratic sums of q^d terms each)."""
+    if which == "4.2":
+        return _refuse_above_cap(q ** (j * d - j * (j - 1) // 2), "q^(jd - C(j,2))")
+    if which == "4.3":
+        return _refuse_above_cap(q ** ((j - 1) * d - math.comb(j, 2)) * d * q ** (d + 1),
+                                 "q^((j-1)d - C(j,2)) x d q^(d+1)")
+    if which == "verify-gauss":
+        return _refuse_above_cap((q - 1) * q ** (2 * d), "(q-1) q^(2d)")
+    raise ValueError(f"no work estimate for {which!r}")
 
 
 def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeField] = None,
@@ -637,14 +641,31 @@ def verify_dependent_bound(field: PrimeField, simplex: Simplex, j: int, anchors)
 
 
 def verify_count_asymptotic(field: PrimeField, simplex: Simplex, j: int,
-                            support: Optional[list] = None) -> dict:
+                            support: Optional[np.ndarray] = None) -> dict:
     """script_S_j(1,...,1) = 1 + O(q^{j-(d+r_j)/2}), evaluated exactly from
-    the independent support size."""
+    the independent support size.  support, if given, is the (N, j)
+    flat-index support array of the walk; otherwise the walk counts the
+    level-j tuples without storing them."""
     q = field.q
     d = simplex.d
-    if support is None:
-        support = support_tuples(field, simplex, j)
-    n_tuples = len(support)
+    if support is not None:
+        n_tuples = len(support)
+    else:
+        if j > simplex.k:
+            raise ValueError("j exceeds the reference simplex size")
+        if j < 0:
+            raise ValueError("j must be non-negative")
+        check_lemma_work(q, d, "4.2", j)
+        n_tuples = 0
+
+        def grow(level: int, states, parent: np.ndarray, y: np.ndarray):
+            nonlocal n_tuples
+            if level + 1 == j:
+                n_tuples += len(y)
+                return None
+            return np.ones(len(y), dtype=bool), y
+
+        _walk(field, simplex, j, True, grow, root=None)
     s_val = Fraction(q ** math.comb(j + 1, 2) * n_tuples, q ** (j * d))
     r_j = simplex_rank(field, prefix_simplex(simplex, j))
     err = abs(float(s_val) - 1.0)
@@ -665,11 +686,18 @@ def verify_count_asymptotic(field: PrimeField, simplex: Simplex, j: int,
 def verify_error_lemma(field: PrimeField, simplex: Simplex, j: int,
                        xis: Optional[Sequence] = None) -> dict:
     """Starred average of S_{j-1} |muhat(xi)|^2 against q^{2j - d - r_j},
-    for the supplied nonzero frequencies (all of them by default)."""
+    for the supplied nonzero frequencies (all of them by default).
+
+    The anchors are the level-(j-1) support of the walk.  A block of them
+    (BLOCK_BYTES of complex rows) gets its step-j measures from one
+    conditional_masks call and its transforms from one transform_rows
+    call; |muhat|^2 is added to the sum row by row in anchor order, so the
+    float additions happen in the order of one anchor at a time."""
     q = field.q
     d = simplex.d
     if not 2 <= j <= simplex.k:
         raise ValueError("need 2 <= j <= k")
+    check_lemma_work(q, d, "4.3", j)
     n = domain.domain_size(q, d)
     if xis is None:
         xi_idx = np.arange(1, n, dtype=np.int64)
@@ -679,12 +707,15 @@ def verify_error_lemma(field: PrimeField, simplex: Simplex, j: int,
             raise ValueError("xi = 0 is rejected")
         if xi_idx.size == 0:
             raise ValueError("need at least one frequency")
-    anchors_support = support_tuples(field, simplex, j - 1)
+    anchors = _support_indices(field, simplex, j - 1)
     targets = step_targets(field, simplex, j)
     acc = np.zeros(n, dtype=np.float64)
-    for anchors in anchors_support:
-        mu = build_conditional(field, list(anchors), targets, d)
-        acc += np.abs(fourier_transform(mu).values) ** 2
+    rows = _block_rows(16 * n)  # complex128 rows
+    for start in range(0, len(anchors), rows):
+        mask = conditional_masks(q, d, anchors[start:start + rows], targets)
+        mu = np.where(mask, float(q) ** j, 0.0).astype(np.complex128)
+        for power in np.abs(transform_rows(mu, q, d)) ** 2:
+            acc += power
     weight = float(q) ** (math.comb(j, 2) - (j - 1) * d)
     values = acc[xi_idx] * weight
     r_j = simplex_rank(field, prefix_simplex(simplex, j))

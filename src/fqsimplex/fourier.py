@@ -11,6 +11,14 @@ Conventions, fixed once and used by every asymptotic check downstream:
 The transform factorizes over coordinates, so the production path applies a
 length-q kernel along each axis (O(d q^{d+1})); a naive O(q^{2d}) transform
 is kept as an oracle for small domains.
+
+One axis-pass routine, transform_rows, serves a single function and a stack
+of functions alike; fourier_transform and inverse_transform are its one-row
+case.  Each axis pass runs one (q x q) @ (q x q^{d-1}) gemm per row, never
+one fused gemm over the whole stack: BLAS rounds a fused product
+differently, and at q = 3 that flips ties between frequencies +xi and -xi
+whose values are equal in exact arithmetic, so a stack would not give the
+bits of the same functions transformed one at a time.
 """
 
 from __future__ import annotations
@@ -87,17 +95,36 @@ def average(f: DenseFunction) -> complex:
     return complex(f.values.mean())
 
 
-def _apply_kernel_all_axes(f: DenseFunction, kernel: np.ndarray) -> np.ndarray:
-    arr = f.grid()
-    for axis in range(f.d):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
-    return domain.as_flat(np.ascontiguousarray(arr))
+def transform_rows(values: np.ndarray, q: int, d: int, inverse: bool = False) -> np.ndarray:
+    """The transforms of a stack of functions on F_q^d, one per row of the
+    (N, q^d) array values: fhat(xi) = q^{-d} sum_x f(x) chi(-xi.x) for each
+    row, or with inverse the plain sum f(x) = sum_xi fhat(xi) chi(xi.x).
+
+    Each row is viewed as its Fortran grid without a copy; the pass along
+    coordinate c moves that axis next to the row axis, reshapes to
+    (N, q, q^{d-1}) and multiplies by the kernel with np.matmul, one gemm
+    per row, so every row gets the same operands as a transform of that row
+    alone."""
+    rows = values.shape[0]
+    kernel = _forward_kernel(q).conj() if inverse else _forward_kernel(q)
+    reverse = (0,) + tuple(range(d, 0, -1))
+    # A C-ordered row reshaped to (q,)*d has coordinate d-1 first; reversing
+    # the grid axes puts coordinate c on axis c + 1.
+    arr = np.asarray(values, dtype=np.complex128).reshape((rows,) + (q,) * d).transpose(reverse)
+    for axis in range(1, d + 1):
+        b = np.moveaxis(arr, axis, 1)
+        shape = b.shape
+        b = b.reshape(rows, q, -1)
+        arr = np.moveaxis(np.matmul(kernel, b).reshape(shape), 1, axis)
+    out = arr.transpose(reverse).reshape(rows, -1)
+    if not inverse:
+        out *= float(q) ** (-d)
+    return out
 
 
 def fourier_transform(f: DenseFunction) -> DenseFunction:
     """fhat(xi) = q^{-d} sum_x f(x) chi(-xi.x), computed axis by axis."""
-    vals = _apply_kernel_all_axes(f, _forward_kernel(f.q)) * float(f.q) ** (-f.d)
-    return DenseFunction(f.q, f.d, vals)
+    return DenseFunction(f.q, f.d, transform_rows(f.values[None], f.q, f.d)[0])
 
 
 def fourier_transform_naive(f: DenseFunction) -> DenseFunction:
@@ -114,8 +141,8 @@ def fourier_transform_naive(f: DenseFunction) -> DenseFunction:
 
 def inverse_transform(spectrum: DenseFunction) -> DenseFunction:
     """f(x) = sum_xi fhat(xi) chi(xi.x); inverts fourier_transform exactly."""
-    vals = _apply_kernel_all_axes(spectrum, _forward_kernel(spectrum.q).conj())
-    return DenseFunction(spectrum.q, spectrum.d, vals)
+    return DenseFunction(spectrum.q, spectrum.d,
+                         transform_rows(spectrum.values[None], spectrum.q, spectrum.d, inverse=True)[0])
 
 
 def convolve(f: DenseFunction, g: DenseFunction) -> DenseFunction:

@@ -55,17 +55,43 @@ def build_sigma(field: PrimeField, radius_sq: int, d: int) -> DenseFunction:
     return DenseFunction(q, d, vals.astype(np.complex128))
 
 
+def conditional_masks(q: int, d: int, chosen: np.ndarray, targets) -> np.ndarray:
+    """Supports of the step measures extending a block of anchor tuples: row
+    r of the (N, q^d) boolean result marks the points y with
+    x_i.y = targets[i] for every anchor x_i (flat index chosen[r, i]) and
+    |y|^2 = targets[-1], all mod q.
+
+    A dot product x.u splits over the low h and high d - h coordinates of
+    x, which are the low and high digits of its flat index, so the test
+    x.u = t (mod q) over all x compares a q^(d-h)-entry table of the high
+    part with a q^h-entry table of t minus the low part: one comparison per
+    (row, point), and dots stay exact in int64 at every admitted (q, d)."""
+    rows, level = chosen.shape
+    if len(targets) != level + 1:
+        raise ValueError("need one dot target per anchor plus a length target")
+    n = domain.domain_size(q, d)
+    coords = domain.coords_matrix(q, d)
+    h = d // 2
+    low = domain.coords_matrix(q, h).astype(np.int64)
+    high = domain.coords_matrix(q, d - h).astype(np.int64)
+    mask = np.empty((rows, n), dtype=bool)
+    mask[:] = domain.lengths_vector(q, d) == targets[-1] % q
+    grid = mask.reshape(rows, high.shape[0], low.shape[0])
+    for i in range(level):
+        u = coords[chosen[:, i]].astype(np.int64)
+        rest = (targets[i] - u[:, :h] @ low.T) % q
+        grid &= ((u[:, h:] @ high.T) % q)[:, :, None] == rest[:, None, :]
+    return mask
+
+
 def conditional_mask(field: PrimeField, anchors, targets, d: int) -> np.ndarray:
     """Support of the step-j measure: one linear condition per anchor plus
-    the quadratic length condition (the last target)."""
-    anchors = [vec_reduce(a, field.q) for a in anchors]
-    if len(targets) != len(anchors) + 1:
-        raise ValueError("need one dot target per anchor plus a length target")
+    the quadratic length condition (the last target); the one-row case of
+    conditional_masks."""
     q = field.q
-    mask = domain.lengths_vector(q, d) == (targets[-1] % q)
-    for a, t in zip(anchors, targets):
-        mask = mask & (domain.dots_with(q, d, a) == (t % q))
-    return mask
+    anchors = [vec_reduce(a, q) for a in anchors]
+    chosen = domain.index_array(np.asarray(anchors, dtype=np.int64).reshape(len(anchors), d), q)
+    return conditional_masks(q, d, chosen[None], targets)[0]
 
 
 def build_conditional(field: PrimeField, anchors, targets, d: int) -> DenseFunction:

@@ -1,13 +1,16 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import PRIMES_TO_101
+from fqsimplex import charsums, domain
 from fqsimplex.charsums import (
     gauss_sum,
     quadratic_sum_bruteforce,
     quadratic_sum_closed_form,
+    quadratic_sum_table,
     twisted_kloosterman,
     weil_bound_audit,
 )
@@ -73,6 +76,28 @@ def test_bruteforce_agrees_with_direct_loops():
     f5 = PrimeField(5)
     for a, b in [(1, (0, 0)), (2, (1, 3)), (4, (2, 2))]:
         assert abs(quadratic_sum_bruteforce(f5, a, b) - direct_quadratic_sum(f5, a, b)) < 1e-10
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("block_bytes", [charsums.TABLE_BLOCK_BYTES, 1])
+def test_quadratic_sum_table_matches_bruteforce_bit_for_bit(q, d, block_bytes, monkeypatch):
+    # the scalar oracle against the blocked table, at the default block and
+    # at one row of b per block
+    monkeypatch.setattr(charsums, "TABLE_BLOCK_BYTES", block_bytes)
+    f = PrimeField(q)
+    table = quadratic_sum_table(f, d)
+    assert table.shape == (q - 1, q ** d)
+    for a in range(1, q):
+        for b_idx in range(q ** d):
+            brute = quadratic_sum_bruteforce(f, a, domain.point_of(b_idx, q, d))
+            assert table[a - 1, b_idx].tobytes() == np.complex128(brute).tobytes()
+
+
+def test_closed_form_takes_a_precomputed_gauss_sum():
+    f = PrimeField(7)
+    g = gauss_sum(f)
+    for a, b in [(1, (0, 0)), (3, (2, 5)), (6, (1, 1))]:
+        assert quadratic_sum_closed_form(f, a, b, g=g) == quadratic_sum_closed_form(f, a, b)
 
 
 def test_closed_form_rejects_zero_a():

@@ -144,6 +144,21 @@ def test_count_that_cannot_finish_is_refused(capsys):
     assert "2.33e+14" in captured.err
 
 
+@pytest.mark.parametrize("argv,estimate", [
+    (["verify-lemma", "--which", "4.2", "--q", "13", "--d", "5", "--k", "3"], "2.33e+13"),
+    (["verify-lemma", "--which", "4.3", "--q", "13", "--d", "5", "--k", "3"], "1.51e+15"),
+    (["verify-gauss", "--q", "101", "--d", "3"], "1.06e+14"),
+])
+def test_lemma_run_that_cannot_finish_is_refused(argv, estimate, capsys):
+    # refused before any walk or table, with the estimate in the message
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{estimate} exceeds the cap" in captured.err
+
+
 @pytest.mark.parametrize("q", [32749, 40009])
 def test_count_exact_beyond_int16_coordinates(q, capsys):
     # y = +-1 for every x: 2q ordered embeddings, on both sides of 2^15

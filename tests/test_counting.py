@@ -589,6 +589,81 @@ def test_count_asymptotic_constants():
             assert rep["lemma"] == "4.2"
 
 
+def test_count_asymptotic_counts_the_walk_without_storing_tuples(monkeypatch):
+    # the support size comes from the walk itself: no tuple list and no
+    # index array; a given (N, j) support array is only measured
+    cases = [(F5, standard_simplex(F5, 4, 3)),
+             (F5, reorder_for_prefix_ranks(F5, find_simplex_of_rank(F5, 4, 3, 2))),
+             (F3, standard_simplex(F3, 3, 2))]
+    expected = [[verify_count_asymptotic(f, s, j, support=counting._support_indices(f, s, j))
+                 for j in range(1, s.k + 1)] for f, s in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialized the support")
+
+    monkeypatch.setattr(counting, "support_tuples", refuse)
+    monkeypatch.setattr(counting, "_support_indices", refuse)
+    for (f, s), reps in zip(cases, expected):
+        for j, rep in enumerate(reps, start=1):
+            assert verify_count_asymptotic(f, s, j) == rep
+    with pytest.raises(ValueError):
+        verify_count_asymptotic(F5, standard_simplex(F5, 4, 3), 4)
+
+
+def test_lemma_work_cap_refuses_before_any_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the work cap")
+
+    s = standard_simplex(F5, 4, 3)
+    assert counting.check_lemma_work(5, 4, "4.2", 3) == 5 ** 9
+    assert counting.check_lemma_work(5, 4, "4.3", 3) == 5 ** 5 * 4 * 5 ** 5
+    assert counting.check_lemma_work(11, 3, "verify-gauss") == 10 * 11 ** 6
+    with pytest.raises(ValueError):
+        counting.check_lemma_work(5, 4, "4.4", 3)
+    monkeypatch.setattr(counting, "_walk", no_walk)
+    monkeypatch.setattr(counting, "WORK_CAP", 5 ** 9 - 1)
+    with pytest.raises(ValueError, match=r"1\.95e\+06 exceeds"):
+        verify_count_asymptotic(F5, s, 3)
+    with pytest.raises(ValueError, match=r"3\.91e\+07 exceeds"):
+        verify_error_lemma(F5, s, 3)
+
+
+def _error_lemma_one_anchor_at_a_time(field, s, j):
+    """verify_error_lemma's record with xis = None, built the way the lemma
+    reads: one conditional measure and one transform per anchor tuple of the
+    support, |muhat|^2 summed in anchor order."""
+    from fqsimplex.fourier import fourier_transform
+    from fqsimplex.linalg import prefix_simplex
+    from fqsimplex.measures import build_conditional, step_targets
+
+    q, d = field.q, s.d
+    targets = step_targets(field, s, j)
+    acc = np.zeros(q ** d)
+    for anchors in support_tuples(field, s, j - 1):
+        mu = build_conditional(field, list(anchors), targets, d)
+        acc += np.abs(fourier_transform(mu).values) ** 2
+    values = acc[1:] * float(q) ** (math.comb(j, 2) - (j - 1) * d)
+    r_j = simplex_rank(field, prefix_simplex(s, j))
+    bound = float(q) ** (2 * j - d - r_j)
+    return {"lemma": "4.3", "q": q, "d": d, "j": j, "rank": r_j, "n_frequencies": q ** d - 1,
+            "max_value": float(values.max()),
+            "worst_xi": list(domain.point_of(int(np.argmax(values)) + 1, q, d)),
+            "bound": bound, "implied_constant": float(values.max() / bound)}
+
+
+@pytest.mark.parametrize("q,d,k,r", [(3, 4, 3, 3), (5, 3, 2, 2), (5, 4, 3, 2)])
+def test_error_lemma_equals_one_anchor_at_a_time(q, d, k, r, monkeypatch):
+    # exact equality, so worst_xi agrees too: at (3,4,3) the maximum is
+    # shared by +xi and -xi and only the float bits pick one
+    field = PrimeField(q)
+    s = reorder_for_prefix_ranks(field, find_simplex_of_rank(field, d, k, r) if r < k
+                                 else standard_simplex(field, d, k))
+    expected = _error_lemma_one_anchor_at_a_time(field, s, k)
+    assert verify_error_lemma(field, s, k) == expected
+    monkeypatch.setattr(counting, "BLOCK_BYTES", 1)  # one anchor per block
+    assert verify_error_lemma(field, s, k) == expected
+
+
 def test_error_lemma_exhaustive_small():
     s = standard_simplex(F3, 3, 2)
     rep = verify_error_lemma(F3, s, 2)

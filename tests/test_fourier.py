@@ -13,6 +13,7 @@ from fqsimplex.fourier import (
     fourier_transform_naive,
     inverse_transform,
     plancherel_check,
+    transform_rows,
     translate,
 )
 
@@ -181,3 +182,22 @@ def test_value_layout():
     assert f((1, 2)) == 1.0
     grid = f.grid()
     assert grid[1, 2] == 1.0
+
+
+@pytest.mark.parametrize("q,d", [(3, 4), (5, 3), (7, 2)])
+def test_transform_rows_match_one_row_transforms_bit_for_bit(q, d, rng):
+    # a stack must give each row the bits of that row transformed alone;
+    # measure-like rows (two values, many exact ties) are where a fused
+    # gemm over the stack rounded differently
+    n = q ** d
+    stack = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    stack[1] = np.where(rng.random(n) < 0.2, float(q) ** 2, 0.0)
+    stack[2] = np.where(rng.random(n) < 0.05, float(q) ** 3, 0.0)
+    before = stack.copy()
+    forward = transform_rows(stack, q, d)
+    backward = transform_rows(stack, q, d, inverse=True)
+    assert stack.tobytes() == before.tobytes()
+    for i, row in enumerate(stack):
+        f = DenseFunction(q, d, row)
+        assert forward[i].tobytes() == fourier_transform(f).values.tobytes()
+        assert backward[i].tobytes() == inverse_transform(f).values.tobytes()

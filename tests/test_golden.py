@@ -44,6 +44,14 @@ COMMANDS = {
                                 "--alpha", "0.3", "--trials", "3", "--seed", "1"),
     "count_11_4_2_random": ("count", "--q", "11", "--d", "4", "--k", "2", *RANDOM,
                             "--alpha", "0.3", "--seed", "1"),
+    # Lemma commands whose arithmetic never reaches a BLAS gemm, so their
+    # bits do not depend on the CPU's kernels.  Lemma 4.3, verify-measures
+    # and charsum-audit go through zgemm and are not pinned here.
+    "verify_gauss_5_2": ("verify-gauss", "--q", "5", "--d", "2"),
+    "verify_gauss_3_4": ("verify-gauss", "--q", "3", "--d", "4"),
+    "verify_lemma_42_5_4_3": ("verify-lemma", "--which", "4.2", "--q", "5", "--d", "4", "--k", "3"),
+    "verify_lemma_41_7_4_3_s5": ("verify-lemma", "--which", "4.1", "--q", "7", "--d", "4", "--k", "3",
+                                 "--seed", "5"),
 }
 
 

@@ -21,6 +21,7 @@ from fqsimplex.measures import (
     build_sigma,
     check_anchors,
     conditional_mask,
+    conditional_masks,
     conditional_value,
     detection_product,
     measure_suite,
@@ -95,6 +96,26 @@ def test_conditional_value_matches_mask_exhaustive():
         val = conditional_value(F5, anchors, targets, p)
         assert (val == 125) == bool(mask[idx])
         assert val in (0, 125)
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 2), (5, 3), (3, 4)])
+def test_conditional_masks_match_integer_weights(q, d, rng):
+    # every row of a block against the exact integer weight at every point,
+    # for blocks of zero, one and two anchors (odd d splits unevenly)
+    field = PrimeField(q)
+    points = all_points(q, d)
+    for level in range(3):
+        chosen = rng.integers(0, q ** d, size=(4, level))
+        targets = tuple(int(t) for t in rng.integers(0, q, size=level + 1))
+        block = conditional_masks(q, d, chosen, targets)
+        assert block.shape == (4, q ** d)
+        for r in range(4):
+            anchors = [domain.point_of(int(i), q, d) for i in chosen[r]]
+            weights = [conditional_value(field, anchors, targets, p) for p in points]
+            assert np.array_equal(block[r], np.array(weights) > 0)
+            assert np.array_equal(block[r], conditional_mask(field, anchors, targets, d))
+    with pytest.raises(ValueError):
+        conditional_masks(q, d, np.zeros((3, 1), dtype=np.int64), (1,))
 
 
 def test_conditional_target_arity_checked():
