@@ -24,10 +24,13 @@ prefix-shared fold, _fold_support.
 Every vector of a support tuple lies on one of k spheres, so the tuples
 reuse far fewer distinct vectors than they contain.  Each aggregation path
 therefore memoizes the translates y -> A(. + y) of the set it counts,
-bit-packed for indicator sets: a translate is computed on first use and
-kept while the memo holds at most TRANSLATE_MEMO_BYTES, then recomputed on
-use past that bound.  Blocks of nodes, pairs and support rows are cut to
-at most BLOCK_BYTES, so memory stays bounded at any support size.
+bit-packed for indicator sets.  A memo wraps its set once (domain.wrap)
+and computes the translates a call is missing in one batch, each a window
+of that copy; it keeps them while the copy and the kept rows take at most
+TRANSLATE_MEMO_BYTES, and recomputes them on use past that bound.  The two
+paths keep separate memos, so their cross-check stays independent.  Blocks
+of nodes, pairs, support rows and unpacked translates are cut to at most
+BLOCK_BYTES, so memory stays bounded at any support size.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ from .measures import (
 )
 
 STARRED_ENUM_CAP = 1_000_000
-# Bytes of memoized translates one aggregation path keeps; past this,
-# translates are recomputed on use instead of stored.
+# Bytes of memoized translates, with the wrapped copy they are read from,
+# that one aggregation path keeps; past this, translates are recomputed on
+# use instead of stored.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
 # Bytes of one block of rows.  A block of tree nodes holds BLOCK_BYTES // q^d
 # nodes (one mask byte per node and point); a chunk of candidate pairs, and a
@@ -138,7 +142,8 @@ class PointSet:
 
     def translate(self, t) -> "PointSet":
         """The set A + t."""
-        return PointSet(self.q, self.d, domain.translate_values(self.mask, self.q, self.d, [-c for c in t]))
+        shifted = domain.translate_values(domain.wrap(self.mask, self.q, self.d), self.q, self.d, [[-c for c in t]])
+        return PointSet(self.q, self.d, shifted[0])
 
     def apply_linear(self, matrix) -> "PointSet":
         """The image set U(A) for an invertible matrix U."""
@@ -185,7 +190,13 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
     child widens its parent's span by the line through y, span + t*y for t
     in F_q.  The mask has already removed Span(chosen), so y is independent
     of chosen and the widened points are distinct; no row reduction and no
-    per-candidate rank computation is needed."""
+    per-candidate rank computation is needed.
+
+    Every independent level-l node has the same number f_l of candidates:
+    nodes at one level are independent tuples with one Gram matrix, so by
+    Witt's theorem an isometry of F_q^d maps any one onto any other, and
+    their candidates with it.  Each block checks this against the first
+    node seen at its level and raises RuntimeError on a mismatch."""
     if j < 1:
         return
     q = field.q
@@ -211,8 +222,16 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
             out += ((points[:, None, :, c] + line * step[:, None, c, None]) % q) * q ** c
         return out.reshape(len(y), -1)
 
+    fanout: dict = {}  # level -> f_l, the candidates of the first node seen there
+
     def descend(level: int, chosen: np.ndarray, span, states) -> None:
         parents, ys = np.nonzero(candidates(level, chosen, span))
+        if independent:
+            counts = np.bincount(parents, minlength=len(chosen))
+            f = fanout.setdefault(level, int(counts[0]))
+            if (counts != f).any():
+                raise RuntimeError(f"level-{level} nodes of the walk have {sorted(set(counts.tolist()))} "
+                                   f"candidates, not the same {f} for each; internal inconsistency")
         for start in range(0, len(ys), pairs):
             parent, y = parents[start:start + pairs], ys[start:start + pairs]
             grown = grow(level, states, parent, y)
@@ -361,27 +380,36 @@ def _popcount(words: np.ndarray) -> int:
 
 def _translate_memo(values: np.ndarray, q: int, d: int, budget: int) -> Callable:
     """ys -> the rows values(. + y) for an array ys of flat indices, bit-packed
-    by _pack when values is boolean.  Each row is computed through
-    domain.translate_values on first use and stored while the stored rows
-    take at most budget bytes; past that, a row is recomputed in every call
-    that asks for it."""
+    by _pack when values is boolean.
+
+    On its first miss the memo wraps values once (domain.wrap); the rows a
+    call is missing are then read from that copy by domain.translate_values
+    in one batch (cut to BLOCK_BYTES of unpacked rows) and packed together.
+    The wrapped copy and the stored rows share budget bytes: rows are stored
+    while they fit beside the copy, and past that a row is recomputed in
+    every call that asks for it."""
     n = values.shape[0]
     points = domain.coords_matrix(q, d)
     encode = _pack if values.dtype == bool else np.asarray
     width = encode(values).nbytes
-    room = min(n, budget // width)
+    batch = _block_rows(values.nbytes)
     slot = np.full(n, -1, dtype=np.int32)  # row of each stored translate; n <= DOMAIN_CAP < 2^31
+    wrapped = None
+    room = 0
     store = None
     used = 0
 
     def translate(ys: np.ndarray) -> np.ndarray:
-        nonlocal store, used
+        nonlocal wrapped, room, store, used
         where = slot[ys]
         missing = np.unique(ys[where < 0])
         if not missing.size:
             return store[where]
-        rows = np.stack([encode(domain.translate_values(values, q, d, tuple(points[y].tolist())))
-                         for y in missing])
+        if wrapped is None:
+            wrapped = domain.wrap(values, q, d)
+            room = min(n, max(0, budget - wrapped.nbytes) // width)
+        rows = np.concatenate([encode(domain.translate_values(wrapped, q, d, points[missing[start:start + batch]]))
+                               for start in range(0, len(missing), batch)])
         fit = min(len(missing), room - used)
         if fit:
             if store is None:

@@ -170,7 +170,7 @@ def plancherel_check(f: DenseFunction, g: DenseFunction) -> float:
 
 def translate(f: DenseFunction, y) -> DenseFunction:
     """g(x) = f(x + y)."""
-    return DenseFunction(f.q, f.d, domain.translate_values(f.values, f.q, f.d, y))
+    return DenseFunction(f.q, f.d, domain.translate_values(domain.wrap(f.values, f.q, f.d), f.q, f.d, [y])[0])
 
 
 def chi_values(field: PrimeField, residues: np.ndarray) -> np.ndarray:

@@ -33,6 +33,13 @@ def all_points(q, d):
     return [domain.point_of(i, q, d) for i in range(q ** d)]
 
 
+def roll_translate(values, q, d, y):
+    """Oracle for domain.translate_values: the one row f(. + y) by a cyclic
+    np.roll of the Fortran-order grid along every coordinate."""
+    grid = np.asarray(values).reshape((q,) * d, order="F")
+    return np.roll(grid, tuple(-(c % q) for c in y), axis=tuple(range(d))).reshape(-1, order="F")
+
+
 def naive_embedding_count(field, A: PointSet, simplex: Simplex) -> int:
     """Quadruple-loop oracle: every tuple (x, y_1..y_k) with independent y's,
     all vertices inside A and the translated tuple Gram-equal to the

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_embedding_count, random_valid_simplex, standard_simplex
+from conftest import naive_embedding_count, random_valid_simplex, roll_translate, standard_simplex
 from fqsimplex import counting, domain
 from fqsimplex.counting import (
     CountReport,
@@ -72,6 +72,14 @@ def test_pointset_translate():
     B = A.translate((2, 3))
     assert B.mask[domain.index_of((3, 4), 5)]
     assert B.size == 1
+
+
+def test_pointset_translate_rejects_a_vector_of_another_length():
+    A = PointSet.from_points(5, 3, [(0, 0, 0)])
+    for t in [(1,), (1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="d = 3"):
+            A.translate(t)
+    assert A.translate((1, 1, 1)).mask[domain.index_of((1, 1, 1), 5)]
 
 
 def test_pointset_apply_linear():
@@ -334,6 +342,11 @@ def test_work_cap_refuses_before_any_walk(monkeypatch):
 
 # -- the two aggregation routes ------------------------------------------------------
 
+def wrapped_bytes(q, d):
+    """Bytes of the wrapped copy a translate memo of a q^d-point set holds."""
+    return domain.wrap(np.zeros(q ** d, dtype=bool), q, d).nbytes
+
+
 def _route_counts(f, A, s):
     """(embedding counter, script_S route scaled to an integer count)."""
     q, d, k = A.q, A.d, s.k
@@ -357,8 +370,9 @@ def test_routes_match_naive_count_with_and_without_memo_cap(q, d, k, kind, monke
         A = PointSet.random(q, d, kind, np.random.default_rng(int(kind * 10) + k))
     expected = naive_embedding_count(f, A, s)
     assert _route_counts(f, A, s) == (expected, expected)
-    # a memo of three rows: most translates are recomputed past the cap
-    monkeypatch.setattr(counting, "TRANSLATE_MEMO_BYTES", 3 * q ** d)
+    # a memo of three rows beside the wrapped copy: most translates are
+    # recomputed past the cap
+    monkeypatch.setattr(counting, "TRANSLATE_MEMO_BYTES", wrapped_bytes(q, d) + 3 * q ** d)
     assert _route_counts(f, A, s) == (expected, expected)
 
 
@@ -369,7 +383,7 @@ def test_routes_match_naive_count_property(bits, memo_rows):
     s = standard_simplex(F3, 3, 2)
     expected = naive_embedding_count(F3, A, s)
     saved = counting.TRANSLATE_MEMO_BYTES
-    counting.TRANSLATE_MEMO_BYTES = memo_rows * 27
+    counting.TRANSLATE_MEMO_BYTES = wrapped_bytes(3, 3) + memo_rows * 27
     try:
         assert _route_counts(F3, A, s) == (expected, expected)
     finally:
@@ -420,7 +434,8 @@ def test_routes_match_naive_count_with_block_and_memo_sizes(bits, memo_rows, blo
     s = standard_simplex(F3, 3, 2)
     expected = naive_embedding_count(F3, A, s)
     saved = counting.TRANSLATE_MEMO_BYTES, counting.BLOCK_BYTES
-    counting.TRANSLATE_MEMO_BYTES = memo_rows * 8  # one packed row of 27 points is one word
+    # one packed row of 27 points is one word, stored beside the wrapped copy
+    counting.TRANSLATE_MEMO_BYTES = wrapped_bytes(3, 3) + memo_rows * 8
     counting.BLOCK_BYTES = block
     try:
         assert _route_counts(F3, A, s) == (expected, expected)
@@ -513,32 +528,93 @@ def test_carried_span_matches_rank_filter(q, d, k):
     assert (dropped > 0) == any(simplex_rank(field, s) < k for s in simplices)
 
 
-def test_translate_memo_stores_up_to_its_budget(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("q,d,k", [(3, 3, 3), (5, 3, 3), (5, 4, 2), (7, 3, 2)])
+def test_support_size_is_the_product_of_one_fanout_per_level(q, d, k):
+    # Witt's theorem: every level-l node has the same number f_l of children
+    field = PrimeField(q)
+    for s in _oracle_simplices(field, d, k):
+        size = 1
+        for j in range(1, k + 1):
+            support = counting._support_indices(field, s, j)
+            _, children = np.unique(support[:, :-1], axis=0, return_counts=True)
+            assert len(set(children.tolist())) == 1
+            size *= int(children[0])
+            assert len(support) == size
+
+
+def test_walk_refuses_nodes_of_one_level_with_different_fanouts(monkeypatch):
+    original = counting.conditional_masks
+
+    def skewed(q, d, chosen, targets):
+        # the last node of every block of two or more loses one candidate
+        mask = original(q, d, chosen, targets)
+        if len(chosen) > 1:
+            mask[-1, np.flatnonzero(mask[-1])[:1]] = False
+        return mask
+
+    monkeypatch.setattr(counting, "conditional_masks", skewed)
+    s = standard_simplex(F5, 3, 2)
+    with pytest.raises(RuntimeError, match="level-1 nodes"):
+        counting._support_indices(F5, s, 2)
+    with pytest.raises(RuntimeError, match="level-1 nodes"):
+        count_isometric_copies(PointSet.full(5, 3), s, field=F5)
+    # the unrestricted walk is not isometry-bound and is not checked
+    counting._support_indices(F5, s, 2, independent=False)
+
+
+@pytest.fixture
+def translate_batches(monkeypatch):
+    """The rows asked of each domain.translate_values call, in call order."""
+    batches = []
     original = domain.translate_values
 
-    def counted(values, q, d, y):
-        calls.append(y)
-        return original(values, q, d, y)
+    def counted(wrapped, q, d, ys):
+        batches.append(len(ys))
+        return original(wrapped, q, d, ys)
 
     monkeypatch.setattr(domain, "translate_values", counted)
+    return batches
+
+
+def test_translate_memo_stores_up_to_its_budget(translate_batches):
+    batches = translate_batches
     mask = PointSet.random(5, 2, 0.5, np.random.default_rng(3)).mask
     ys = [(1, 0), (0, 1), (2, 3), (4, 4), (3, 1)]
     flat = np.array([domain.index_of(y, 5) for y in ys])
     for values, encode in [(mask, counting._pack), (mask.astype(np.complex128), np.asarray)]:
-        expected = encode(np.stack([original(values, 5, 2, y) for y in ys]))
+        expected = encode(np.stack([roll_translate(values, 5, 2, y) for y in ys]))
         width = expected[0].nbytes
-        for rows, expected_calls in [(10, 5), (2, 8), (0, 10)]:
-            calls.clear()
-            translate = counting._translate_memo(values, 5, 2, rows * width)
+        copy = domain.wrap(values, 5, 2).nbytes
+        for rows, computed in [(10, 5), (2, 8), (0, 10)]:
+            batches.clear()
+            translate = counting._translate_memo(values, 5, 2, copy + rows * width)
             for _ in range(2):
                 assert np.array_equal(translate(flat), expected)
-            assert len(calls) == expected_calls
+            assert sum(batches) == computed
+            # one translate_values call per batch of misses
+            assert batches == ([5] if rows >= 5 else [5, 5 - rows])
+        # the wrapped copy is charged to the budget: a byte short of the
+        # copy and two rows stores one row
+        batches.clear()
+        translate = counting._translate_memo(values, 5, 2, copy + 2 * width - 1)
+        for _ in range(2):
+            assert np.array_equal(translate(flat), expected)
+        assert batches == [5, 4]
         # a row asked for twice in one call is computed once
-        calls.clear()
+        batches.clear()
         translate = counting._translate_memo(values, 5, 2, 0)
         assert np.array_equal(translate(np.concatenate([flat, flat])), np.concatenate([expected, expected]))
-        assert len(calls) == 5
+        assert batches == [5]
+
+
+def test_translate_memo_cuts_a_batch_to_block_bytes(translate_batches, monkeypatch):
+    monkeypatch.setattr(counting, "BLOCK_BYTES", 2 * 25)  # two unpacked rows of 25 points
+    mask = PointSet.random(5, 2, 0.5, np.random.default_rng(4)).mask
+    flat = np.arange(25)
+    translate = counting._translate_memo(mask, 5, 2, 0)
+    expected = counting._pack(np.stack([roll_translate(mask, 5, 2, domain.point_of(y, 5, 2)) for y in flat]))
+    assert np.array_equal(translate(flat), expected)
+    assert translate_batches == [2] * 12 + [1]
 
 
 def test_script_S_exact_rejects_non_indicator_masks():

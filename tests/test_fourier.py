@@ -162,6 +162,13 @@ def test_translate(rng):
         assert g.values[idx] == f.values[domain.index_of(xpy, q)]
 
 
+def test_translate_rejects_a_vector_of_another_length(rng):
+    f = random_function(5, 3, rng)
+    for y in [(2,), (2, 1), (2, 1, 0, 4)]:
+        with pytest.raises(ValueError, match="d = 3"):
+            translate(f, y)
+
+
 def test_shape_mismatch_rejected(rng):
     f = random_function(3, 2, rng)
     g = random_function(3, 3, rng)
