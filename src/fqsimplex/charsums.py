@@ -59,14 +59,14 @@ def quadratic_sum_closed_form(field: PrimeField, a: int, b, d: int | None = None
 
 def quadratic_sum_bruteforce(field: PrimeField, a: int, b, d: int | None = None) -> complex:
     """Direct summation of chi(a|x|^2 + b.x) over the whole domain, one
-    (a, b) at a time: the oracle that quadratic_sum_table is checked
-    against."""
+    (a, b) at a time.  A test oracle: quadratic_sum_table is checked
+    against it bit for bit."""
     q = field.q
     b = vec_reduce(b, q)
     if d is None:
         d = len(b)
     phases = (a % q) * domain.lengths_vector(q, d).astype(np.int64)
-    phases = (phases + domain.dots_with(q, d, b)) % q
+    phases = (phases + domain.coords_matrix(q, d) @ np.asarray(b, dtype=np.int64)) % q
     return complex(chi_values(field, phases).sum())
 
 

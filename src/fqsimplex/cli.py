@@ -233,6 +233,8 @@ def run_verify_lemma(cfg: ExperimentConfig, which: str, samples: int, j_opt: Opt
     if which == "4.1":
         if k < 2:
             raise ValueError("the dependent-mass bound needs k >= 2")
+        if j_opt is not None and not 2 <= j_opt <= k:
+            raise ValueError("need 2 <= j <= k")
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         for i in range(samples):
             j = j_opt if j_opt is not None else 2 + int(rng.integers(k - 1))
@@ -326,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, simplex_opts=True)
     p.add_argument("--which", choices=("4.1", "4.2", "4.3"), required=True)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--j", type=int, default=None)
+    p.add_argument("--j", type=int, default=None,
+                   help="step j: 2 <= j <= k for 4.1 and 4.3, 1 <= j <= k for 4.2")
 
     return parser
 

@@ -14,20 +14,24 @@ embeddings of the reference simplex in A:
 which the code verifies as an exact integer identity along two aggregation
 paths.  Both rest on one walker of the constrained tuple tree, _walk, which
 visits the tree a block of nodes at a time: the candidates of every node in
-a block come out of one (nodes x q^d) boolean mask built from the length,
-dot-product and span-exclusion tests, never a sweep of all q^{kd} tuples.
-The work scales with the support size q^{jd - binom(j+1,2)} plus one q^d
-mask row per node, with no Python-level loop over candidates.  The support
-it enumerates, an array of flat point indices, is summed by one
-prefix-shared fold, _fold_support.
+a block come out of one (nodes x q^d) boolean mask built from the length
+and dot-product tests, with the span of each node's tuple, listed by
+domain.span_indices from the tuple itself, cleared from its row; never a
+sweep of all q^{kd} tuples.  The work scales with the support size
+q^{jd - binom(j+1,2)} plus one q^d mask row per node, with no Python-level
+loop over candidates.  The support it enumerates, an array of flat point
+indices, is summed by one prefix-shared fold, _fold_support.
 
 Every vector of a support tuple lies on one of k spheres, so the tuples
 reuse far fewer distinct vectors than they contain.  Each aggregation path
 therefore memoizes the translates y -> A(. + y) of the set it counts,
 bit-packed for indicator sets.  A memo wraps its set once (domain.wrap)
 and computes the translates a call is missing in one batch, each a window
-of that copy; it keeps them while the copy and the kept rows take at most
-TRANSLATE_MEMO_BYTES, and recomputes them on use past that bound.  The two
+of that copy; it keeps them in the room TRANSLATE_MEMO_BYTES leaves beside
+the copy, and recomputes them on use past that bound.  The copy itself is
+always held, so a memo holds max(TRANSLATE_MEMO_BYTES, copy) bytes at most;
+the copy is up to 21.4 times its set, and at the largest admitted set
+(a boolean set at (q, d) = (9973, 2)) it is 199 MB on its own.  The two
 paths keep separate memos, so their cross-check stays independent.  Blocks
 of nodes, pairs, support rows and unpacked translates are cut to at most
 BLOCK_BYTES, so memory stays bounded at any support size.
@@ -54,13 +58,11 @@ from .linalg import (
     prefix_simplex,
     simplex_is_valid,
     simplex_rank,
-    span_elements,
-    subspace_span,
 )
 from .measures import (
     check_anchors,
+    conditional_mask,
     conditional_masks,
-    conditional_value,
     s_weight,  # noqa: F401  (re-exported as fqsimplex.counting.s_weight)
     span_mask,  # noqa: F401  (re-exported; the tuple walk does not call it)
     step_targets,
@@ -69,7 +71,8 @@ from .measures import (
 STARRED_ENUM_CAP = 1_000_000
 # Bytes of memoized translates, with the wrapped copy they are read from,
 # that one aggregation path keeps; past this, translates are recomputed on
-# use instead of stored.
+# use instead of stored.  The copy is held even when it alone is larger
+# (up to 199 MB, a boolean set at (9973, 2)); then no translate is stored.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
 # Bytes of one block of rows.  A block of tree nodes holds BLOCK_BYTES // q^d
 # nodes (one mask byte per node and point); a chunk of candidate pairs, and a
@@ -164,11 +167,10 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // row_bytes)
 
 
-def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
-          grow: Callable, root) -> None:
-    """Level-synchronous walk of the tuples (y_1, ..., y_j) matching the
-    reference dot products, optionally restricted to linearly independent
-    tuples, a block of nodes at a time.
+def _walk(field: PrimeField, simplex: Simplex, j: int, grow: Callable, root) -> None:
+    """Level-synchronous walk of the linearly independent tuples
+    (y_1, ..., y_j) matching the reference dot products, a block of nodes
+    at a time; j outside 1..k raises ValueError.
 
     A block of N level-l nodes is held as arrays: chosen, the (N, l) flat
     indices of each node's tuple, and states, the route states of its
@@ -185,53 +187,40 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
     chunk, so tuples sharing a prefix stay adjacent and memory stays
     bounded.  At the last level its return value is ignored.
 
-    Independence is enforced by masking out Span(chosen), which each block
-    carries as an (N, q^l) array of flat indices: the root holds {0}, and a
-    child widens its parent's span by the line through y, span + t*y for t
-    in F_q.  The mask has already removed Span(chosen), so y is independent
-    of chosen and the widened points are distinct; no row reduction and no
-    per-candidate rank computation is needed.
+    Independence is enforced by clearing Span(chosen) from the mask: each
+    block lists the spans of its nodes, q^l flat indices per node, with
+    domain.span_indices straight from chosen (the root's span is {0}).  No
+    row reduction and no per-candidate rank computation is needed.
 
-    Every independent level-l node has the same number f_l of candidates:
-    nodes at one level are independent tuples with one Gram matrix, so by
-    Witt's theorem an isometry of F_q^d maps any one onto any other, and
-    their candidates with it.  Each block checks this against the first
-    node seen at its level and raises RuntimeError on a mismatch."""
-    if j < 1:
-        return
+    Every level-l node has the same number f_l of candidates: nodes at one
+    level are independent tuples with one Gram matrix, so by Witt's
+    theorem an isometry of F_q^d maps any one onto any other, and their
+    candidates with it.  Each block checks this against the first node
+    seen at its level and raises RuntimeError on a mismatch."""
+    if not 1 <= j <= simplex.k:
+        raise ValueError("need 1 <= j <= k")
     q = field.q
     d = simplex.d
     n = domain.domain_size(q, d)
     gram = gram_matrix(field, simplex)
     coords = domain.coords_matrix(q, d)
-    line = np.arange(q, dtype=np.int64)[:, None]
     nodes = _block_rows(n)
     pairs = _block_rows(-(-n // 8))
 
-    def candidates(level: int, chosen: np.ndarray, span) -> np.ndarray:
+    def candidates(level: int, chosen: np.ndarray) -> np.ndarray:
         mask = conditional_masks(q, d, chosen, [gram[i][level] for i in range(level + 1)])
-        if span is not None:
-            mask[np.arange(len(chosen))[:, None], span] = False
+        mask[np.arange(len(chosen))[:, None], domain.span_indices(coords[chosen], q)] = False
         return mask
-
-    def widen(span: np.ndarray, y: np.ndarray) -> np.ndarray:
-        points = coords[span]
-        step = coords[y].astype(np.int64)
-        out = np.zeros((len(y), q, span.shape[1]), dtype=np.int64)
-        for c in range(d):
-            out += ((points[:, None, :, c] + line * step[:, None, c, None]) % q) * q ** c
-        return out.reshape(len(y), -1)
 
     fanout: dict = {}  # level -> f_l, the candidates of the first node seen there
 
-    def descend(level: int, chosen: np.ndarray, span, states) -> None:
-        parents, ys = np.nonzero(candidates(level, chosen, span))
-        if independent:
-            counts = np.bincount(parents, minlength=len(chosen))
-            f = fanout.setdefault(level, int(counts[0]))
-            if (counts != f).any():
-                raise RuntimeError(f"level-{level} nodes of the walk have {sorted(set(counts.tolist()))} "
-                                   f"candidates, not the same {f} for each; internal inconsistency")
+    def descend(level: int, chosen: np.ndarray, states) -> None:
+        parents, ys = np.nonzero(candidates(level, chosen))
+        counts = np.bincount(parents, minlength=len(chosen))
+        f = fanout.setdefault(level, int(counts[0]))
+        if (counts != f).any():
+            raise RuntimeError(f"level-{level} nodes of the walk have {sorted(set(counts.tolist()))} "
+                               f"candidates, not the same {f} for each; internal inconsistency")
         for start in range(0, len(ys), pairs):
             parent, y = parents[start:start + pairs], ys[start:start + pairs]
             grown = grow(level, states, parent, y)
@@ -241,20 +230,15 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, independent: bool,
             parent, y = parent[keep], y[keep]
             for first in range(0, len(y), nodes):
                 block = slice(first, first + nodes)
-                descend(level + 1, np.column_stack([chosen[parent[block]], y[block]]),
-                        widen(span[parent[block]], y[block]) if independent else None,
-                        child_states[block])
+                descend(level + 1, np.column_stack([chosen[parent[block]], y[block]]), child_states[block])
 
-    descend(0, np.zeros((1, 0), dtype=np.int64),
-            np.zeros((1, 1), dtype=np.int64) if independent else None, root)
+    descend(0, np.zeros((1, 0), dtype=np.int64), root)
     del descend  # the closure refers to itself; free it without the cyclic GC
 
 
-def _support_indices(field: PrimeField, simplex: Simplex, j: int, independent: bool = True) -> np.ndarray:
+def _support_indices(field: PrimeField, simplex: Simplex, j: int) -> np.ndarray:
     """The support tuples as an (N, j) int64 array of flat point indices,
     in walk order (rows sharing a prefix are adjacent)."""
-    if j > simplex.k:
-        raise ValueError("j exceeds the reference simplex size")
     parts: list = []
 
     def grow(level: int, chosen: np.ndarray, parent: np.ndarray, y: np.ndarray):
@@ -264,22 +248,24 @@ def _support_indices(field: PrimeField, simplex: Simplex, j: int, independent: b
             return None
         return np.ones(len(y), dtype=bool), tuples
 
-    _walk(field, simplex, j, independent, grow, root=np.zeros((1, 0), dtype=np.int64))
+    _walk(field, simplex, j, grow, root=np.zeros((1, 0), dtype=np.int64))
     return np.concatenate(parts) if parts else np.zeros((0, j), dtype=np.int64)
 
 
-def support_tuples(field: PrimeField, simplex: Simplex, j: int, independent: bool = True) -> list:
-    """All tuples (y_1, ..., y_j) matching the reference dot products,
-    optionally restricted to linearly independent tuples, in walk order
-    (tuples sharing a prefix are adjacent)."""
-    support = _support_indices(field, simplex, j, independent)
+def support_tuples(field: PrimeField, simplex: Simplex, j: int) -> list:
+    """All linearly independent tuples (y_1, ..., y_j) matching the
+    reference dot products, in walk order (tuples sharing a prefix are
+    adjacent).  A test and acceptance oracle: the counting routes use the
+    flat-index array of _support_indices."""
+    support = _support_indices(field, simplex, j)
     points = domain.coords_matrix(field.q, simplex.d)[support].tolist()
     return [tuple(map(tuple, ys)) for ys in points]
 
 
 def starred_average(func: Callable, field: PrimeField, d: int, j: int) -> float:
     """q^{-jd} sum of func over linearly independent j-tuples of F_q^d,
-    by literal enumeration of the whole tuple space (small cases only)."""
+    by literal enumeration of the whole tuple space (small cases only).
+    A test oracle for the walk-driven sums."""
     q = field.q
     n = domain.domain_size(q, d)
     if j > d:
@@ -305,11 +291,9 @@ def starred_average(func: Callable, field: PrimeField, d: int, j: int) -> float:
     return total / float(n) ** j
 
 
-def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex,
-             support: Optional[np.ndarray] = None) -> float:
+def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex) -> float:
     """The normalized weighted count script_S_j(f_0, ..., f_j) for the
-    j = len(fs) - 1 prefix of the reference simplex.  support, if given,
-    is the (N, j) flat-index support array of the walk."""
+    j = len(fs) - 1 prefix of the reference simplex."""
     j = len(fs) - 1
     if j < 1:
         raise ValueError("need at least two functions")
@@ -318,8 +302,7 @@ def script_S(field: PrimeField, fs: Sequence[DenseFunction], simplex: Simplex,
     for f in fs:
         if (f.q, f.d) != (q, d):
             raise ValueError("function shape does not match the simplex domain")
-    if support is None:
-        support = _support_indices(field, simplex, j)
+    support = _support_indices(field, simplex, j)
     translates = _translate_memos([f.values for f in fs[1:]], q, d)
     total = _fold_support(support, fs[0].values, translates, np.multiply,
                           lambda acc: acc.mean(axis=1).sum())
@@ -385,9 +368,11 @@ def _translate_memo(values: np.ndarray, q: int, d: int, budget: int) -> Callable
     On its first miss the memo wraps values once (domain.wrap); the rows a
     call is missing are then read from that copy by domain.translate_values
     in one batch (cut to BLOCK_BYTES of unpacked rows) and packed together.
-    The wrapped copy and the stored rows share budget bytes: rows are stored
-    while they fit beside the copy, and past that a row is recomputed in
-    every call that asks for it."""
+    Rows are stored while they fit in the budget bytes beside the wrapped
+    copy, and past that a row is recomputed in every call that asks for
+    it.  The copy is held whatever its size, so a memo holds at most
+    max(budget, copy) bytes, the copy (2 - 1/q)^t times values (see
+    domain)."""
     n = values.shape[0]
     points = domain.coords_matrix(q, d)
     encode = _pack if values.dtype == bool else np.asarray
@@ -538,7 +523,7 @@ def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
         keep = deeper.any(axis=1)
         return keep, deeper[keep]
 
-    _walk(field, simplex, k, True, grow, root=_pack(A.mask)[None])
+    _walk(field, simplex, k, grow, root=_pack(A.mask)[None])
     return total
 
 
@@ -643,17 +628,16 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
 
 def verify_dependent_bound(field: PrimeField, simplex: Simplex, j: int, anchors) -> dict:
     """Exact check that the step-j mass carried by Span(anchors) stays
-    under q^{2j - 1 - r_{j-1}}."""
+    under q^{2j - 1 - r_{j-1}}.  The anchors are independent (check_anchors),
+    so their span lists each of its q^{j-1} points once."""
     check_anchors(field, simplex, anchors)
     if len(anchors) != j - 1:
         raise ValueError("need exactly j - 1 anchors")
     q = field.q
     d = simplex.d
-    targets = step_targets(field, simplex, j)
-    space = subspace_span(field, anchors, d)
-    total = 0
-    for y in span_elements(field, space):
-        total += conditional_value(field, list(anchors), targets, y)
+    support = conditional_mask(field, anchors, step_targets(field, simplex, j), d)
+    span = domain.span_indices(np.asarray(anchors, dtype=np.int64)[None], q)[0]
+    total = int(np.count_nonzero(support[span])) * q ** j
     r_prev = simplex_rank(field, prefix_simplex(simplex, j - 1))
     bound = q ** (2 * j - 1 - r_prev)
     return {
@@ -668,32 +652,25 @@ def verify_dependent_bound(field: PrimeField, simplex: Simplex, j: int, anchors)
     }
 
 
-def verify_count_asymptotic(field: PrimeField, simplex: Simplex, j: int,
-                            support: Optional[np.ndarray] = None) -> dict:
+def verify_count_asymptotic(field: PrimeField, simplex: Simplex, j: int) -> dict:
     """script_S_j(1,...,1) = 1 + O(q^{j-(d+r_j)/2}), evaluated exactly from
-    the independent support size.  support, if given, is the (N, j)
-    flat-index support array of the walk; otherwise the walk counts the
-    level-j tuples without storing them."""
+    the independent support size, which the walk counts without storing
+    the level-j tuples."""
     q = field.q
     d = simplex.d
-    if support is not None:
-        n_tuples = len(support)
-    else:
-        if j > simplex.k:
-            raise ValueError("j exceeds the reference simplex size")
-        if j < 0:
-            raise ValueError("j must be non-negative")
-        check_lemma_work(q, d, "4.2", j)
-        n_tuples = 0
+    if not 1 <= j <= simplex.k:
+        raise ValueError("need 1 <= j <= k")
+    check_lemma_work(q, d, "4.2", j)
+    n_tuples = 0
 
-        def grow(level: int, states, parent: np.ndarray, y: np.ndarray):
-            nonlocal n_tuples
-            if level + 1 == j:
-                n_tuples += len(y)
-                return None
-            return np.ones(len(y), dtype=bool), y
+    def grow(level: int, states, parent: np.ndarray, y: np.ndarray):
+        nonlocal n_tuples
+        if level + 1 == j:
+            n_tuples += len(y)
+            return None
+        return np.ones(len(y), dtype=bool), y
 
-        _walk(field, simplex, j, True, grow, root=None)
+    _walk(field, simplex, j, grow, root=None)
     s_val = Fraction(q ** math.comb(j + 1, 2) * n_tuples, q ** (j * d))
     r_j = simplex_rank(field, prefix_simplex(simplex, j))
     err = abs(float(s_val) - 1.0)

@@ -13,6 +13,10 @@ coordinates are gathered by flat index.  The copy holds
 q^(d-t) (2q-1)^t = (2 - 1/q)^t q^d entries: at most 21.4 times the values
 (q = 3, t = 6), 10.5 at q = 5, about 7 for 7 <= q <= 13, under 4 for
 17 <= q <= 255 and under 2 from q = 257 on, where t = 1.
+
+Spans are listed as flat indices as well: span_indices enumerates
+Span(v_1, ..., v_m) for a block of vector tuples at once, and it is the one
+span builder of the tuple walk, measures.span_mask and Lemma 4.1.
 """
 
 from __future__ import annotations
@@ -71,13 +75,6 @@ def lengths_vector(q: int, d: int) -> np.ndarray:
     return out
 
 
-def dots_with(q: int, d: int, v) -> np.ndarray:
-    """x.v mod q for every point x, in index order."""
-    coords = coords_matrix(q, d)
-    vv = np.asarray([c % q for c in v], dtype=np.int64)
-    return (coords @ vv) % q
-
-
 def as_grid(values: np.ndarray, q: int, d: int) -> np.ndarray:
     return values.reshape((q,) * d, order="F")
 
@@ -133,3 +130,19 @@ def index_array(points: np.ndarray, q: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.int64) % q
     weights = q ** np.arange(pts.shape[1], dtype=np.int64)
     return pts @ weights
+
+
+def span_indices(vectors, q: int) -> np.ndarray:
+    """Flat indices of Span(v_1, ..., v_m) for each row of an (N, m, d)
+    integer array of vectors: the (N, q^m) int64 array whose row r lists
+    sum_i c_i v_i for the coefficient tuples (c_1, ..., c_m) in
+    itertools.product order.  m = 0 gives the span {0}; dependent vectors
+    give repeated points.  Entries of one product stay below
+    m (q-1)^2 < 2^63 at every q^m <= DOMAIN_CAP."""
+    vectors = np.asarray(vectors, dtype=np.int64) % q
+    rows, m, d = vectors.shape
+    coeffs = coords_matrix(q, m)[:, ::-1].T.astype(np.int64)  # c_m varies fastest
+    out = np.zeros((rows, q ** m), dtype=np.int64)
+    for c in range(d):
+        out += (vectors[:, :, c] @ coeffs % q) * q ** c
+    return out

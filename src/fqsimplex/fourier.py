@@ -128,7 +128,8 @@ def fourier_transform(f: DenseFunction) -> DenseFunction:
 
 
 def fourier_transform_naive(f: DenseFunction) -> DenseFunction:
-    """Direct double sum; the slow oracle the fast path is checked against."""
+    """Direct double sum.  A test and acceptance oracle: the slow path the
+    fast transform is checked against."""
     n = f.values.shape[0]
     if n > NAIVE_CAP:
         raise ValueError(f"naive transform capped at {NAIVE_CAP} points")
@@ -166,11 +167,6 @@ def plancherel_check(f: DenseFunction, g: DenseFunction) -> float:
     gh = fourier_transform(g).values
     rhs = (fh * gh.conj()).sum()
     return abs(lhs - rhs)
-
-
-def translate(f: DenseFunction, y) -> DenseFunction:
-    """g(x) = f(x + y)."""
-    return DenseFunction(f.q, f.d, domain.translate_values(domain.wrap(f.values, f.q, f.d), f.q, f.d, [y])[0])
 
 
 def chi_values(field: PrimeField, residues: np.ndarray) -> np.ndarray:

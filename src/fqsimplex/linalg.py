@@ -323,6 +323,8 @@ def is_isometric(field: PrimeField, s1: Simplex, s2: Simplex) -> bool:
 
 
 def prefix_rank_sequence(field: PrimeField, s: Simplex) -> tuple:
+    """The ranks of the prefixes {0, v_1..v_j}, j = 1..k.  A test oracle for
+    the prefix-rank orderings built here."""
     return tuple(simplex_rank(field, prefix_simplex(s, j)) for j in range(1, s.k + 1))
 
 
@@ -510,7 +512,9 @@ def reflection_matrix(field: PrimeField, w: Vector) -> tuple:
 
 
 def random_orthogonal(field: PrimeField, d: int, rng) -> tuple:
-    """A random orthogonal map built as a product of random reflections."""
+    """A random orthogonal map built as a product of random reflections.
+    A test and acceptance oracle: it draws the isometries that
+    extend_isometry and the isometry invariance of counts are checked on."""
     q = field.q
     u_mat = identity_matrix(d)
     made = 0
@@ -641,6 +645,3 @@ def simplex_from_json(field: PrimeField, text) -> Simplex:
             raise ValueError("each simplex point must be an array of integers")
     return make_simplex(field, obj, validate=True)
 
-
-def simplex_to_json(s: Simplex) -> str:
-    return json.dumps([list(p) for p in s.points], separators=(",", ":"))

@@ -34,8 +34,6 @@ from .linalg import (
     matrix_rank,
     prefix_simplex,
     simplex_rank,
-    subspace_span,
-    span_elements,
     vec_reduce,
 )
 
@@ -101,10 +99,6 @@ def build_conditional(field: PrimeField, anchors, targets, d: int) -> DenseFunct
     return DenseFunction(field.q, d, vals.astype(np.complex128))
 
 
-def sigma_value(field: PrimeField, radius_sq: int, y) -> int:
-    return field.q if length_sq(field, y) == radius_sq % field.q else 0
-
-
 def conditional_value(field: PrimeField, anchors, targets, y) -> int:
     """Exact integer weight (q^j or 0) of one point under the step measure."""
     q = field.q
@@ -153,18 +147,20 @@ def detection_product(field: PrimeField, ys, simplex: Simplex) -> int:
 # ---------------------------------------------------------------------------
 
 def span_mask(field: PrimeField, vectors, d: int) -> np.ndarray:
-    """Boolean flat mask of Span(vectors); the empty span is {0}."""
-    n = domain.domain_size(field.q, d)
-    mask = np.zeros(n, dtype=bool)
-    space = subspace_span(field, vectors, d)
-    for v in span_elements(field, space):
-        mask[domain.index_of(v, field.q)] = True
+    """Boolean flat mask of Span(vectors); the empty span is {0}.  The
+    q^m points of m vectors are listed by domain.span_indices, so more than
+    d vectors raise ValueError rather than list more than q^d points."""
+    q = field.q
+    vecs = np.asarray(vectors, dtype=np.int64)
+    if vecs.size == 0:
+        vecs = vecs.reshape(0, d)
+    if vecs.ndim != 2 or vecs.shape[1] != d:
+        raise ValueError("vector length does not match ambient dimension")
+    if len(vecs) > d:
+        raise ValueError(f"{len(vecs)} vectors exceed the dimension d = {d}")
+    mask = np.zeros(domain.domain_size(q, d), dtype=bool)
+    mask[domain.span_indices(vecs[None], q)[0]] = True
     return mask
-
-
-def span_delta(field: PrimeField, vectors, d: int) -> DenseFunction:
-    """0/1 indicator of the span as a dense function."""
-    return DenseFunction(field.q, d, span_mask(field, vectors, d).astype(np.complex128))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,23 @@ def test_empty_run_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("which,j,message", [
+    # no level-0 tuple is walked, so j = 0 would report S = 0 as a failure
+    ("4.2", "0", "need 1 <= j <= k"),
+    ("4.2", "3", "need 1 <= j <= k"),
+    # anchors for j > k have no reference prefix to match
+    ("4.1", "5", "need 2 <= j <= k"),
+    ("4.1", "1", "need 2 <= j <= k"),
+])
+def test_lemma_step_out_of_range_is_a_usage_error(which, j, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma", "--which", which, "--q", "5", "--d", "3", "--k", "2", "--j", j])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_count_that_cannot_finish_is_refused(capsys):
     # q^d = 7^9 is under the dense-storage cap, but the work estimate
     # 7^(2*9 - 1) = 2.3e14 is not: refused at once, before any set is drawn

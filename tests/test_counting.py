@@ -114,12 +114,6 @@ def test_support_tuples_match_weights():
     assert sup
     for ys in sup:
         assert s_weight(F5, list(ys), s) == 5 ** 3
-    # independence filter excludes nothing here (full-rank Gram), but the
-    # degenerate reference has dependent gram-matching tuples
-    s0 = find_simplex_of_rank(F5, 4, 2, 0)
-    dep = support_tuples(F5, s0, 2, independent=False)
-    indep = support_tuples(F5, s0, 2, independent=True)
-    assert len(dep) > len(indep)
 
 
 def test_support_tuples_result_is_freed_without_the_cyclic_gc():
@@ -418,12 +412,11 @@ def test_support_tuples_do_not_depend_on_block_size(q, d, k, monkeypatch):
     field = PrimeField(q)
     for s in _oracle_simplices(field, d, k):
         for j in range(1, k + 1):
-            for independent in (True, False):
-                ref = support_tuples(field, s, j, independent)
-                for block in [ONE_ROW, 2 * q ** d + 1]:
-                    monkeypatch.setattr(counting, "BLOCK_BYTES", block)
-                    assert support_tuples(field, s, j, independent) == ref
-                monkeypatch.undo()
+            ref = support_tuples(field, s, j)
+            for block in [ONE_ROW, 2 * q ** d + 1]:
+                monkeypatch.setattr(counting, "BLOCK_BYTES", block)
+                assert support_tuples(field, s, j) == ref
+            monkeypatch.undo()
 
 
 @settings(max_examples=30, deadline=None)
@@ -480,14 +473,14 @@ def test_tree_counter_prunes_where_enumeration_descends(monkeypatch):
     expanded = []
     walk = counting._walk
 
-    def counted_walk(field, simplex, j, independent, grow, root):
+    def counted_walk(field, simplex, j, grow, root):
         def counted_grow(level, states, parent, y):
             grown = grow(level, states, parent, y)
             if level == 0:
                 expanded.append(int(np.count_nonzero(grown[0])))
             return grown
 
-        walk(field, simplex, j, independent, counted_grow, root)
+        walk(field, simplex, j, counted_grow, root)
 
     monkeypatch.setattr(counting, "_walk", counted_walk)
     s = standard_simplex(F5, 3, 2)
@@ -512,20 +505,48 @@ def _oracle_simplices(field, d, k):
 @pytest.mark.parametrize("q,d,k", [(3, 2, 2), (3, 3, 3), (3, 4, 4), (5, 3, 3), (5, 4, 2), (7, 3, 2),
                                    (3, 3, 2), (3, 4, 2)])
 def test_carried_span_matches_rank_filter(q, d, k):
-    # the walk excludes the span it carries down; the reference is the
-    # unrestricted walk filtered by a row-reduction rank.  A full-rank Gram
-    # matrix forces independence, so only rank-deficient references (whose
-    # tuples can span self-orthogonal subspaces) lose tuples to the filter
+    # the walk clears each node's span from its candidates; the reference
+    # recurses one conditional mask per prefix, point by point, and keeps a
+    # point when a row-reduction rank says it is independent of the
+    # prefix.  A full-rank Gram matrix forces independence, so only
+    # rank-deficient references (whose tuples can span self-orthogonal
+    # subspaces) lose points to the rank test
     field = PrimeField(q)
     dropped = 0
     simplices = _oracle_simplices(field, d, k)
     for s in simplices:
+        ref, rejected = _rank_filtered_tuples(field, s, k)
+        dropped += rejected
         for j in range(1, k + 1):
-            every = support_tuples(field, s, j, independent=False)
-            ref = [ys for ys in every if matrix_rank(field, list(ys)) == j]
-            assert support_tuples(field, s, j) == ref
-            dropped += len(every) - len(ref)
+            assert support_tuples(field, s, j) == ref[j]
     assert (dropped > 0) == any(simplex_rank(field, s) < k for s in simplices)
+
+
+def _rank_filtered_tuples(field, s, k):
+    """The independent Gram-matching tuples of every length j <= k, in
+    lexicographic order of flat indices (the walk's order), from a
+    depth-first recursion that shares no span code with the walk; and the
+    number of step-support points the rank test rejected."""
+    from fqsimplex.measures import conditional_mask, step_targets
+
+    q, d = field.q, s.d
+    tuples = {j: [] for j in range(1, k + 1)}
+    rejected = 0
+
+    def rec(prefix):
+        nonlocal rejected
+        j = len(prefix) + 1
+        for idx in np.flatnonzero(conditional_mask(field, prefix, step_targets(field, s, j), d)):
+            y = domain.point_of(int(idx), q, d)
+            if matrix_rank(field, prefix + [y]) < j:
+                rejected += 1
+                continue
+            tuples[j].append(tuple(prefix + [y]))
+            if j < k:
+                rec(prefix + [y])
+
+    rec([])
+    return tuples, rejected
 
 
 @pytest.mark.parametrize("q,d,k", [(3, 3, 3), (5, 3, 3), (5, 4, 2), (7, 3, 2)])
@@ -558,8 +579,6 @@ def test_walk_refuses_nodes_of_one_level_with_different_fanouts(monkeypatch):
         counting._support_indices(F5, s, 2)
     with pytest.raises(RuntimeError, match="level-1 nodes"):
         count_isometric_copies(PointSet.full(5, 3), s, field=F5)
-    # the unrestricted walk is not isometry-bound and is not checked
-    counting._support_indices(F5, s, 2, independent=False)
 
 
 @pytest.fixture
@@ -649,6 +668,26 @@ def test_dependent_bound_rank_zero_is_tight(rng):
     assert rep["value"] == rep["bound"]  # the whole span coset contributes
 
 
+@pytest.mark.parametrize("q,d,k,r", [(5, 3, 2, 2), (5, 4, 3, 3), (5, 4, 2, 0), (5, 4, 3, 2), (3, 4, 3, 2)])
+def test_dependent_bound_is_the_literal_span_sum(q, d, k, r):
+    # the value read from the step mask at the span's flat indices equals
+    # the sum of the step weight over the RREF span, point by point
+    from fqsimplex.linalg import span_elements, subspace_span
+    from fqsimplex.measures import conditional_value, step_targets
+
+    field = PrimeField(q)
+    s = reorder_for_prefix_ranks(field, find_simplex_of_rank(field, d, k, r) if r < k
+                                 else standard_simplex(field, d, k))
+    rng = np.random.default_rng(q * 100 + d * 10 + r)
+    for j in range(2, k + 1):
+        targets = step_targets(field, s, j)
+        for _ in range(3):
+            anchors = sample_anchor_tuple(field, s, j, rng)
+            literal = sum(conditional_value(field, list(anchors), targets, y)
+                          for y in span_elements(field, subspace_span(field, anchors, d)))
+            assert verify_dependent_bound(field, s, j, anchors)["value"] == literal
+
+
 def test_dependent_bound_rejects_bad_anchors():
     s = standard_simplex(F5, 3, 2)
     with pytest.raises(ValueError):
@@ -667,12 +706,15 @@ def test_count_asymptotic_constants():
 
 def test_count_asymptotic_counts_the_walk_without_storing_tuples(monkeypatch):
     # the support size comes from the walk itself: no tuple list and no
-    # index array; a given (N, j) support array is only measured
+    # index array, and it is the length of the support array
     cases = [(F5, standard_simplex(F5, 4, 3)),
              (F5, reorder_for_prefix_ranks(F5, find_simplex_of_rank(F5, 4, 3, 2))),
              (F3, standard_simplex(F3, 3, 2))]
-    expected = [[verify_count_asymptotic(f, s, j, support=counting._support_indices(f, s, j))
-                 for j in range(1, s.k + 1)] for f, s in cases]
+    expected = [[verify_count_asymptotic(f, s, j) for j in range(1, s.k + 1)] for f, s in cases]
+    for (f, s), reps in zip(cases, expected):
+        for j, rep in enumerate(reps, start=1):
+            n_tuples = len(counting._support_indices(f, s, j))
+            assert rep["s_value"] == float(Fraction(f.q ** math.comb(j + 1, 2) * n_tuples, f.q ** (j * s.d)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("materialized the support")
@@ -682,8 +724,9 @@ def test_count_asymptotic_counts_the_walk_without_storing_tuples(monkeypatch):
     for (f, s), reps in zip(cases, expected):
         for j, rep in enumerate(reps, start=1):
             assert verify_count_asymptotic(f, s, j) == rep
-    with pytest.raises(ValueError):
-        verify_count_asymptotic(F5, standard_simplex(F5, 4, 3), 4)
+    for j in (0, 4):
+        with pytest.raises(ValueError, match="need 1 <= j <= k"):
+            verify_count_asymptotic(F5, standard_simplex(F5, 4, 3), j)
 
 
 def test_lemma_work_cap_refuses_before_any_walk(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,3 +87,37 @@ def test_translate_values_match_roll_property(data, q, d, complex_values):
     assert out.shape == (len(ys), q ** d)
     for row, y in zip(out, ys):
         assert np.array_equal(row, roll_translate(values, q, d, y))
+
+
+def product_span(vectors, q):
+    """Oracle for domain.span_indices: the flat index of sum_i c_i v_i for
+    each coefficient tuple of itertools.product, one point at a time."""
+    d = len(vectors[0]) if len(vectors) else 0
+    return [domain.index_of([sum(c * v[i] for c, v in zip(cs, vectors)) for i in range(d)], q)
+            for cs in itertools.product(range(q), repeat=len(vectors))]
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_span_indices_match_product_oracle(q):
+    rng = np.random.default_rng(q)
+    d = 3
+    v, w = rng.integers(1, q, size=(2, d))
+    cases = [
+        np.zeros((2, 0, d), dtype=np.int64),  # the empty span {0}
+        rng.integers(-q, 2 * q, size=(4, 1, d)),  # entries outside 0..q-1
+        rng.integers(0, q, size=(3, 2, d)),
+        rng.integers(0, q, size=(2, 3, d)),
+        np.array([[v, 2 * v], [v, w + v], [v, 0 * v]]),  # dependent pairs but one
+    ]
+    for vectors in cases:
+        out = domain.span_indices(vectors, q)
+        m = vectors.shape[1]
+        assert out.dtype == np.int64 and out.shape == (len(vectors), q ** m)
+        for row, vs in zip(out, vectors.tolist()):
+            assert row.tolist() == product_span(vs, q)
+    assert domain.span_indices(cases[0], q).tolist() == [[0], [0]]
+    dependent = domain.span_indices(cases[-1], q)
+    # a dependent pair spans a line: each of its q points repeats q times
+    for row in dependent[[0, 2]]:
+        assert sorted(np.unique(row, return_counts=True)[1].tolist()) == [q] * q
+

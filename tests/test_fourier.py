@@ -14,7 +14,6 @@ from fqsimplex.fourier import (
     inverse_transform,
     plancherel_check,
     transform_rows,
-    translate,
 )
 
 GRID = [(q, d) for q in (3, 5, 7) for d in (1, 2, 3)]
@@ -149,24 +148,6 @@ def test_parseval_nonnegative(rng):
     energy = (np.abs(fh) ** 2).sum()
     assert energy >= 0
     assert abs(energy - (np.abs(f.values) ** 2).mean()) < 1e-9
-
-
-def test_translate(rng):
-    q, d = 5, 2
-    f = random_function(q, d, rng)
-    y = (2, 3)
-    g = translate(f, y)
-    for idx in range(q ** d):
-        x = domain.point_of(idx, q, d)
-        xpy = tuple((a + b) % q for a, b in zip(x, y))
-        assert g.values[idx] == f.values[domain.index_of(xpy, q)]
-
-
-def test_translate_rejects_a_vector_of_another_length(rng):
-    f = random_function(5, 3, rng)
-    for y in [(2,), (2, 1), (2, 1, 0, 4)]:
-        with pytest.raises(ValueError, match="d = 3"):
-            translate(f, y)
 
 
 def test_shape_mismatch_rejected(rng):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -32,7 +33,6 @@ from fqsimplex.linalg import (
     simplex_from_json,
     simplex_is_valid,
     simplex_rank,
-    simplex_to_json,
     span_elements,
     subspace_contains,
     subspace_intersection,
@@ -448,7 +448,7 @@ def test_find_simplex_of_rank_all_residue_classes():
 def test_simplex_json_round_trip():
     s = simplex_from_json(F5, "[[0,0,0],[1,0,0],[0,1,0]]")
     assert s.points == ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    assert simplex_from_json(F5, simplex_to_json(s)) == s
+    assert simplex_from_json(F5, json.dumps([list(p) for p in s.points])) == s
 
 
 def test_simplex_json_rejects_bad_literals():

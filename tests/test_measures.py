@@ -15,6 +15,8 @@ from fqsimplex.linalg import (
     make_simplex,
     matrix_rank,
     simplex_rank,
+    subspace_contains,
+    subspace_span,
 )
 from fqsimplex.measures import (
     build_conditional,
@@ -26,8 +28,6 @@ from fqsimplex.measures import (
     detection_product,
     measure_suite,
     sample_anchor_tuple,
-    sigma_value,
-    span_delta,
     span_mask,
     step_targets,
     verify_conditional_asymptotic,
@@ -66,7 +66,7 @@ def test_sigma_support_characterization_exhaustive():
             sig = build_sigma(f, radius, d)
             for p in all_points(q, d):
                 expected = q if length_sq(f, p) == radius else 0
-                assert sig(p) == expected == sigma_value(f, radius, p)
+                assert sig(p) == expected
 
 
 def test_conditional_support_coordinate_case():
@@ -162,15 +162,31 @@ def test_detection_matches_gram_comparison_exhaustive_small():
 
 # -- span indicators ---------------------------------------------------------------
 
-def test_span_delta_enumeration():
+def test_span_mask_enumeration():
     mask = span_mask(F5, [(1, 2)], 2)
-    from fqsimplex.linalg import subspace_contains, subspace_span
-
     space = subspace_span(F5, [(1, 2)], 2)
     for idx, p in enumerate(all_points(5, 2)):
         assert mask[idx] == subspace_contains(F5, space, p)
-    assert span_delta(F5, [], 2)((0, 0)) == 1
-    assert span_delta(F5, [], 2)((1, 0)) == 0
+    assert np.flatnonzero(span_mask(F5, [], 2)).tolist() == [0]
+
+
+def test_span_mask_of_dependent_vectors():
+    # repeated span points mark the same entries: the mask is the span of
+    # a basis, whatever the spanning set
+    line = span_mask(F5, [(1, 2, 0)], 3)
+    assert np.count_nonzero(line) == 5
+    assert np.array_equal(span_mask(F5, [(1, 2, 0), (2, 4, 0)], 3), line)
+    plane = span_mask(F5, [(1, 0, 1), (0, 1, 4)], 3)
+    assert np.count_nonzero(plane) == 25
+    assert np.array_equal(span_mask(F5, [(1, 0, 1), (0, 1, 4), (1, 1, 0)], 3), plane)
+    assert np.array_equal(span_mask(F5, [(-4, 7, 5)], 3), line)  # entries reduced mod q
+
+
+def test_span_mask_rejects_more_vectors_than_the_dimension():
+    with pytest.raises(ValueError, match="dimension d = 2"):
+        span_mask(F5, [(1, 0), (0, 1), (1, 1)], 2)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        span_mask(F5, [(1, 0, 0)], 2)
 
 
 # -- spectral decay -----------------------------------------------------------------
