@@ -144,14 +144,15 @@ def _twisted_tables(field: PrimeField):
     """|sum| for all a in F_q^*, b in F_q, for n = 0 and then n = 1; rows
     a - 1, columns b.  The factors chi(a s) and chi(b / s) are built once
     for both parities; the two products stay separate gemms, so each table
-    holds the bits of its own parity's product."""
+    holds the bits of its own parity's product.  left[a - 1, s - 1] =
+    chi(a s) is symmetric, so chi(b / s) for b >= 1 is its row inv(s) - 1,
+    the same table entries a second mod-q gather would read."""
     q = field.q
     s = np.arange(1, q, dtype=np.int64)
     inv_s = np.array([field.inv(int(x)) for x in s], dtype=np.int64)
     eta_s = np.array([field.eta(int(x)) for x in s], dtype=np.float64)
-    a_col = np.arange(1, q, dtype=np.int64)[:, None]
-    left = chi_values(field, a_col * s[None, :])
-    right = chi_values(field, inv_s[:, None] * np.arange(q, dtype=np.int64)[None, :])
+    left = chi_values(field, s[:, None] * s[None, :])
+    right = np.concatenate([chi_values(field, np.zeros((q - 1, 1), dtype=np.int64)), left[inv_s - 1]], axis=1)
     yield np.abs(left @ right)
     yield np.abs((left * eta_s[None, :]) @ right)
 

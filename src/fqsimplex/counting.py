@@ -13,14 +13,16 @@ embeddings of the reference simplex in A:
 
 which the code verifies as an exact integer identity along two aggregation
 paths.  Both rest on one walker of the constrained tuple tree, _walk, which
-visits the tree a block of nodes at a time: the candidates of every node in
-a block come out of one (nodes x q^d) boolean mask built from the length
-and dot-product tests, with the span of each node's tuple, listed by
-domain.span_indices from the tuple itself, cleared from its row; never a
-sweep of all q^{kd} tuples.  The work scales with the support size
-q^{jd - binom(j+1,2)} plus one q^d mask row per node, with no Python-level
-loop over candidates.  The support it enumerates, an array of flat point
-indices, is summed by one prefix-shared fold, _fold_support.
+visits the tree a block of nodes at a time.  Each node carries its
+pre-sets: for every deeper level, the sorted points of that level's sphere
+that already meet the dot tests against the node's vectors.  A child
+narrows its parent's pre-sets by one dot test, and a node's candidates are
+its own pre-set minus the few span points that meet its tests, listed by
+domain.span_indices from the tuple itself; never a sweep of all q^{kd}
+tuples, and no node scans the q^d points of the domain.  The work scales
+with the support size q^{jd - binom(j+1,2)} times the pre-set widths, with
+no Python-level loop over candidates.  The support it enumerates, an array
+of flat point indices, is summed by one prefix-shared fold, _fold_support.
 
 Every vector of a support tuple lies on one of k spheres, so the tuples
 reuse far fewer distinct vectors than they contain.  Each aggregation path
@@ -65,6 +67,7 @@ from .measures import (
     conditional_masks,
     s_weight,  # noqa: F401  (re-exported as fqsimplex.counting.s_weight)
     span_mask,  # noqa: F401  (re-exported; the tuple walk does not call it)
+    sphere_mask,
     step_targets,
 )
 
@@ -74,14 +77,17 @@ STARRED_ENUM_CAP = 1_000_000
 # use instead of stored.  The copy is held even when it alone is larger
 # (up to 199 MB, a boolean set at (9973, 2)); then no translate is stored.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
-# Bytes of one block of rows.  A block of tree nodes holds BLOCK_BYTES // q^d
-# nodes (one mask byte per node and point); a chunk of candidate pairs, and a
-# block of support rows in a fold, holds as many rows as BLOCK_BYTES of
-# bit-packed q^d-point rows.  2^18 cost 5% more peak memory on a sparse
-# (5,4,3) count than 2^17 for no speed at that size.
+# Bytes of one block of rows.  A block of tree nodes holds as many nodes as
+# BLOCK_BYTES of their tuples and their parents' pre-set rows; a chunk of
+# candidate pairs, and a block of support rows in a fold, holds as many rows
+# as BLOCK_BYTES of bit-packed q^d-point rows.  Over 100 sparse (5,4,3)
+# counts, 2^18 cost 3% more peak memory than 2^17 (41.3 against 40.0 MB) for
+# at most a few percent of speed.
 BLOCK_BYTES = 2 ** 17
-# Largest estimated work a count may start (see check_work).  The counting
-# routes run at about a nanosecond per unit, so this is ~20 minutes.
+# Largest estimated work a count may start (see check_work).  On 2 vCPUs the
+# counting routes ran at 0.5-1.2 ns per unit at (5,5,2) and (3,6,3), so this
+# is ~20 minutes; Lemma 4.2's pre-set walk ran at 2-3 ns per unit of its
+# estimate at (5,5,3) and (3,6,4).
 WORK_CAP = 10 ** 12
 
 
@@ -167,36 +173,75 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // row_bytes)
 
 
+def _span_solutions(gram, level: int, q: int) -> np.ndarray:
+    """C*_l for l = level: the coefficient rows c of F_q^l, in
+    itertools.product order, for which sum_i c_i y_i meets the level-l
+    tests of a node (y_1, ..., y_l) of the walk, that is G c = g and
+    c^T G c = gram[l][l] (mod q), with G the leading l x l block of gram
+    and g the first l entries of its column l.  Every node of a level has
+    that Gram matrix, so one solution set serves them all."""
+    coeffs = domain.coords_matrix(q, level)[:, ::-1].astype(np.int64)
+    prefix = np.array([row[:level] for row in gram[:level]], dtype=np.int64).reshape(level, level)
+    column = np.array([gram[i][level] for i in range(level)], dtype=np.int64)
+    dots = coeffs @ prefix % q
+    meets = (dots == column % q).all(axis=1) & ((dots * coeffs).sum(axis=1) % q == gram[level][level] % q)
+    return coeffs[meets]
+
+
+def _meets(coords: np.ndarray, q: int, points: np.ndarray, ys: np.ndarray, target: int) -> np.ndarray:
+    """The (N, w) boolean array points[r, i] . ys[r] = target (mod q), for
+    an (N, w) array of flat indices points and N flat indices ys; the dots
+    are accumulated one coordinate at a time, never as an (N, w, d) array,
+    in int32 whenever their bound d (q-1)^2 fits."""
+    d = coords.shape[1]
+    dtype = np.int32 if d * (q - 1) ** 2 <= np.iinfo(np.int32).max else np.int64
+    y = coords[ys].astype(dtype)
+    dots = np.zeros(points.shape, dtype=dtype)
+    for c in range(d):
+        dots += coords[:, c][points] * y[:, c, None]
+    return dots % q == target % q
+
+
 def _walk(field: PrimeField, simplex: Simplex, j: int, grow: Callable, root) -> None:
     """Level-synchronous walk of the linearly independent tuples
     (y_1, ..., y_j) matching the reference dot products, a block of nodes
     at a time; j outside 1..k raises ValueError.
 
     A block of N level-l nodes is held as arrays: chosen, the (N, l) flat
-    indices of each node's tuple, and states, the route states of its
-    nodes (the root block's states are root).  One (N, q^d) mask gives the
-    candidates of every node in the block: measures.conditional_masks (the
-    length test and one dot-product test per chosen column), then span
-    exclusion.  Its nonzero (parent, y) pairs, in walk order, go to
-    grow(level, states, parent, y) in chunks of at most
-    BLOCK_BYTES // ceil(q^d / 8) pairs (one bit-packed row each),
-    parent indexing the block's rows and y holding flat indices.  Below the
-    last level grow returns (keep, child_states), keep a boolean array
-    selecting the pairs to descend into; the kept children of a chunk are
-    walked, in blocks of at most BLOCK_BYTES // q^d nodes, before the next
-    chunk, so tuples sharing a prefix stay adjacent and memory stays
-    bounded.  At the last level its return value is ignored.
+    indices of each node's tuple; states, the route states of its nodes
+    (the root block's states are root); and its pre-sets, one (N, w_m)
+    array for each level m = l, ..., j - 1, whose row r lists in ascending
+    order the points of sphere m (|y|^2 = gram[m][m]) that meet the dot
+    tests y . y_i = gram[i][m] against node r's l vectors.  The root's
+    pre-sets are the spheres.  A child that adds y at level l narrows each
+    deeper pre-set of its parent by the one test y . p = gram[l][m]
+    (_meets), so no node looks at the q^d points of the domain.
 
-    Independence is enforced by clearing Span(chosen) from the mask: each
-    block lists the spans of its nodes, q^l flat indices per node, with
-    domain.span_indices straight from chosen (the root's span is {0}).  No
-    row reduction and no per-candidate rank computation is needed.
+    A level-l node's candidates are its pre-set l minus Span(chosen).  A
+    span point sum_i c_i y_i meets the level-l tests exactly when c lies in
+    C*_l (_span_solutions), the same set for every node of the level, so
+    each node clears its |C*_l| such points, listed by domain.span_indices,
+    and no others; a point missing from the pre-set raises RuntimeError.
+    No row reduction and no per-candidate rank computation is needed.
 
-    Every level-l node has the same number f_l of candidates: nodes at one
-    level are independent tuples with one Gram matrix, so by Witt's
-    theorem an isometry of F_q^d maps any one onto any other, and their
-    candidates with it.  Each block checks this against the first node
-    seen at its level and raises RuntimeError on a mismatch."""
+    The candidates' (parent, y) pairs, in walk order (rows ascending, y
+    ascending), go to grow(level, states, parent, y) in chunks of at most
+    BLOCK_BYTES // ceil(q^d / 8) pairs (one bit-packed row each), parent
+    indexing the block's rows and y holding flat indices.  Below the last
+    level grow returns (keep, child_states), keep a boolean array selecting
+    the pairs to descend into; the kept children of a chunk are walked, in
+    blocks holding at most BLOCK_BYTES of their tuples and their parents'
+    deeper pre-set rows, before the next chunk, so tuples sharing a prefix
+    stay adjacent and memory stays bounded.  At the last level its return
+    value is ignored.
+
+    Nodes at one level are independent tuples with one Gram matrix, so by
+    Witt's theorem an isometry of F_q^d maps any one onto any other, with
+    its pre-sets and candidates.  Every narrowing checks that each row
+    keeps as many points as the first row seen at its (level, m), and the
+    first node of each level is checked against a full scan of the domain
+    (measures.conditional_masks, then its whole span cleared); either
+    mismatch raises RuntimeError."""
     if not 1 <= j <= simplex.k:
         raise ValueError("need 1 <= j <= k")
     q = field.q
@@ -204,23 +249,53 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, grow: Callable, root) -> 
     n = domain.domain_size(q, d)
     gram = gram_matrix(field, simplex)
     coords = domain.coords_matrix(q, d)
-    nodes = _block_rows(n)
     pairs = _block_rows(-(-n // 8))
+    solutions = [_span_solutions(gram, level, q) for level in range(j)]
+    widths: dict = {}  # (level, m) -> width of the first level-`level` pre-set m seen
+    scanned: set = set()  # levels whose first node was checked against a full scan
 
-    def candidates(level: int, chosen: np.ndarray) -> np.ndarray:
-        mask = conditional_masks(q, d, chosen, [gram[i][level] for i in range(level + 1)])
-        mask[np.arange(len(chosen))[:, None], domain.span_indices(coords[chosen], q)] = False
-        return mask
+    def full_scan(level: int, chosen: np.ndarray) -> np.ndarray:
+        mask = conditional_masks(q, d, chosen[:1], [gram[i][level] for i in range(level + 1)])[0]
+        mask[domain.span_indices(coords[chosen[:1]], q)[0]] = False
+        return np.flatnonzero(mask)
 
-    fanout: dict = {}  # level -> f_l, the candidates of the first node seen there
+    def candidates(level: int, chosen: np.ndarray, pre: np.ndarray) -> np.ndarray:
+        count, w = pre.shape
+        span = domain.span_indices(coords[chosen], q, solutions[level])
+        if span.size:
+            # rows are ascending, so row-offset keys are ascending overall
+            offsets = np.arange(count, dtype=np.int64)[:, None] * n
+            keys = (pre + offsets).ravel()
+            wanted = (span + offsets).ravel()
+            at = np.searchsorted(keys, wanted)
+            if (at >= keys.size).any() or not np.array_equal(keys[at], wanted):
+                raise RuntimeError(f"a span point of a level-{level} node is missing from its pre-set; "
+                                   "internal inconsistency")
+            kept = np.ones(keys.size, dtype=bool)
+            kept[at] = False
+            pre = pre.ravel()[kept].reshape(count, w - span.shape[1])
+        if level not in scanned:
+            scanned.add(level)
+            if not np.array_equal(pre[0], full_scan(level, chosen)):
+                raise RuntimeError(f"level-{level} nodes of the walk have candidates other than a full scan finds; "
+                                   "internal inconsistency")
+        return pre
 
-    def descend(level: int, chosen: np.ndarray, states) -> None:
-        parents, ys = np.nonzero(candidates(level, chosen))
-        counts = np.bincount(parents, minlength=len(chosen))
-        f = fanout.setdefault(level, int(counts[0]))
-        if (counts != f).any():
-            raise RuntimeError(f"level-{level} nodes of the walk have {sorted(set(counts.tolist()))} "
-                               f"candidates, not the same {f} for each; internal inconsistency")
+    def narrow(level: int, m: int, rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        keep = _meets(coords, q, rows, ys, gram[level - 1][m])
+        counts = np.count_nonzero(keep, axis=1)
+        w = widths.setdefault((level, m), int(counts[0]))
+        if (counts != w).any():
+            raise RuntimeError(f"level-{level} nodes of the walk keep {sorted(set(counts.tolist()))} points of "
+                               f"sphere {m}, not the same {w} for each; internal inconsistency")
+        return rows[keep].reshape(len(rows), w)
+
+    def descend(level: int, chosen: np.ndarray, pre: list, states) -> None:
+        found = candidates(level, chosen, pre[0])
+        parents = np.repeat(np.arange(len(found)), found.shape[1])
+        ys = found.ravel()
+        deeper = pre[1:]
+        nodes = _block_rows(chosen.itemsize * (level + 1) + sum(rows.itemsize * rows.shape[1] for rows in deeper))
         for start in range(0, len(ys), pairs):
             parent, y = parents[start:start + pairs], ys[start:start + pairs]
             grown = grow(level, states, parent, y)
@@ -230,9 +305,13 @@ def _walk(field: PrimeField, simplex: Simplex, j: int, grow: Callable, root) -> 
             parent, y = parent[keep], y[keep]
             for first in range(0, len(y), nodes):
                 block = slice(first, first + nodes)
-                descend(level + 1, np.column_stack([chosen[parent[block]], y[block]]), child_states[block])
+                p, yb = parent[block], y[block]
+                descend(level + 1, np.column_stack([chosen[p], yb]),
+                        [narrow(level + 1, m, rows[p], yb) for m, rows in enumerate(deeper, level + 1)],
+                        child_states[block])
 
-    descend(0, np.zeros((1, 0), dtype=np.int64), root)
+    spheres = [np.flatnonzero(sphere_mask(field, d, gram[m][m]))[None] for m in range(j)]
+    descend(0, np.zeros((1, 0), dtype=np.int64), spheres, root)
     del descend  # the closure refers to itself; free it without the cyclic GC
 
 
@@ -545,8 +624,10 @@ def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
 
 def check_lemma_work(q: int, d: int, which: str, j: int = 1) -> int:
     """Work estimate of one verification run, refused above WORK_CAP as in
-    check_work.  which is "4.2" (the walk to level j scans q^d points for
-    each of ~q^{(j-1)d - binom(j,2)} nodes), "4.3" (one d q^{d+1}
+    check_work.  which is "4.2" (q^d points for each of the
+    ~q^{(j-1)d - binom(j,2)} level-(j-1) nodes of the walk, a bound on the
+    pre-set walk, which tests only the ~q^{d-j+1} points a node's parent
+    passes on), "4.3" (one d q^{d+1}
     transform per anchor, ~q^{(j-1)d - binom(j,2)} anchors) or
     "verify-gauss" ((q - 1) q^d quadratic sums of q^d terms each)."""
     if which == "4.2":

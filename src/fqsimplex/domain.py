@@ -15,8 +15,10 @@ q^(d-t) (2q-1)^t = (2 - 1/q)^t q^d entries: at most 21.4 times the values
 17 <= q <= 255 and under 2 from q = 257 on, where t = 1.
 
 Spans are listed as flat indices as well: span_indices enumerates
-Span(v_1, ..., v_m) for a block of vector tuples at once, and it is the one
-span builder of the tuple walk, measures.span_mask and Lemma 4.1.
+Span(v_1, ..., v_m), or the combinations of a given set of coefficient rows,
+for a block of vector tuples at once.  It is the one span builder of the
+tuple walk (which lists only the span points that meet a level's tests),
+measures.span_mask and Lemma 4.1.
 """
 
 from __future__ import annotations
@@ -132,17 +134,20 @@ def index_array(points: np.ndarray, q: int) -> np.ndarray:
     return pts @ weights
 
 
-def span_indices(vectors, q: int) -> np.ndarray:
+def span_indices(vectors, q: int, coeffs=None) -> np.ndarray:
     """Flat indices of Span(v_1, ..., v_m) for each row of an (N, m, d)
-    integer array of vectors: the (N, q^m) int64 array whose row r lists
-    sum_i c_i v_i for the coefficient tuples (c_1, ..., c_m) in
+    integer array of vectors: the (N, s) int64 array whose row r lists
+    sum_i c_i v_i for the s coefficient rows (c_1, ..., c_m) of coeffs, an
+    (s, m) array of integers in 0..q-1; by default all q^m of them in
     itertools.product order.  m = 0 gives the span {0}; dependent vectors
     give repeated points.  Entries of one product stay below
     m (q-1)^2 < 2^63 at every q^m <= DOMAIN_CAP."""
     vectors = np.asarray(vectors, dtype=np.int64) % q
     rows, m, d = vectors.shape
-    coeffs = coords_matrix(q, m)[:, ::-1].T.astype(np.int64)  # c_m varies fastest
-    out = np.zeros((rows, q ** m), dtype=np.int64)
+    if coeffs is None:
+        coeffs = coords_matrix(q, m)[:, ::-1]  # c_m varies fastest
+    coeffs = np.asarray(coeffs, dtype=np.int64).T
+    out = np.zeros((rows, coeffs.shape[1]), dtype=np.int64)
     for c in range(d):
         out += (vectors[:, :, c] @ coeffs % q) * q ** c
     return out

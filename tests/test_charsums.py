@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_101
 from fqsimplex import charsums, domain
@@ -70,6 +72,17 @@ def test_closed_form_matches_bruteforce_small_grid():
                 closed = quadratic_sum_closed_form(f, a, b)
                 brute = quadratic_sum_bruteforce(f, a, b)
                 assert abs(closed - brute) <= 1e-9 * max(1.0, abs(brute))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 11, 13]), d=st.integers(1, 3))
+def test_closed_form_matches_bruteforce_property(data, q, d):
+    f = PrimeField(q)
+    a = data.draw(st.integers(1, q - 1), label="a")
+    b = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d), label="b"))
+    closed = quadratic_sum_closed_form(f, a, b)
+    brute = quadratic_sum_bruteforce(f, a, b)
+    assert abs(closed - brute) <= 1e-9 * max(1.0, abs(brute))
 
 
 def test_bruteforce_agrees_with_direct_loops():

@@ -33,6 +33,7 @@ from fqsimplex.linalg import (
     construct_extremal_simplex,
     embed_simplex,
     find_simplex_of_rank,
+    gram_matrix,
     isometric_orderings,
     make_simplex,
     mat_vec,
@@ -41,7 +42,7 @@ from fqsimplex.linalg import (
     reorder_for_prefix_ranks,
     simplex_rank,
 )
-from fqsimplex.measures import detection_product, sample_anchor_tuple
+from fqsimplex.measures import conditional_mask, detection_product, sample_anchor_tuple, step_targets
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -564,21 +565,73 @@ def test_support_size_is_the_product_of_one_fanout_per_level(q, d, k):
 
 
 def test_walk_refuses_nodes_of_one_level_with_different_fanouts(monkeypatch):
-    original = counting.conditional_masks
+    original = counting._meets
 
-    def skewed(q, d, chosen, targets):
-        # the last node of every block of two or more loses one candidate
-        mask = original(q, d, chosen, targets)
-        if len(chosen) > 1:
-            mask[-1, np.flatnonzero(mask[-1])[:1]] = False
-        return mask
+    def skewed(coords, q, points, ys, target):
+        # the last node of every narrowing of two or more rows keeps one point fewer
+        keep = original(coords, q, points, ys, target)
+        if len(ys) > 1:
+            keep[-1, np.flatnonzero(keep[-1])[:1]] = False
+        return keep
 
-    monkeypatch.setattr(counting, "conditional_masks", skewed)
+    monkeypatch.setattr(counting, "_meets", skewed)
     s = standard_simplex(F5, 3, 2)
     with pytest.raises(RuntimeError, match="level-1 nodes"):
         counting._support_indices(F5, s, 2)
     with pytest.raises(RuntimeError, match="level-1 nodes"):
         count_isometric_copies(PointSet.full(5, 3), s, field=F5)
+
+
+def test_walk_refuses_a_narrowing_that_drops_a_dot_test(monkeypatch):
+    # every node keeps its parent's whole pre-set: the widths stay equal
+    # (Witt), so only the full scan of a level's first node sees it
+    monkeypatch.setattr(counting, "_meets", lambda coords, q, points, ys, target: np.ones(points.shape, bool))
+    s = standard_simplex(F7, 4, 2)
+    with pytest.raises(RuntimeError, match="level-1 nodes .* full scan"):
+        counting._support_indices(F7, s, 2)
+
+
+def test_walk_refuses_a_pre_set_that_drops_a_span_point(monkeypatch):
+    # on an all-isotropic reference every c y_1 meets the level-1 tests, 0
+    # among them; pre-sets that lose the zero vector keep equal widths
+    original = counting._meets
+
+    def without_zero(coords, q, points, ys, target):
+        return original(coords, q, points, ys, target) & (points != 0)
+
+    s = embed_simplex(F5, construct_extremal_simplex(F5, 2, 0), 4)
+    assert gram_matrix(F5, s) == ((0, 0), (0, 0))
+    assert len(counting._support_indices(F5, s, 2)) > 0
+    monkeypatch.setattr(counting, "_meets", without_zero)
+    with pytest.raises(RuntimeError, match="span point of a level-1 node is missing"):
+        counting._support_indices(F5, s, 2)
+
+
+@pytest.mark.parametrize("q,d,k", [(3, 2, 2), (3, 3, 3), (3, 4, 4), (5, 3, 3), (5, 4, 2), (7, 3, 2),
+                                   (3, 3, 2), (3, 4, 2)])
+def test_span_solutions_list_the_span_points_that_meet_a_level(q, d, k):
+    # C*_l against the whole span of sampled level-l nodes filtered by the
+    # level-l conditional mask, in the same (itertools.product) order; a
+    # span point meets some level's tests only when a leading block of the
+    # Gram matrix is singular, that is on rank-deficient references
+    field = PrimeField(q)
+    coords = domain.coords_matrix(q, d)
+    cleared = 0
+    simplices = _oracle_simplices(field, d, k)
+    for s in simplices:
+        gram = gram_matrix(field, s)
+        for level in range(k):
+            nodes = counting._support_indices(field, s, level) if level else np.zeros((1, 0), dtype=np.int64)
+            vectors = coords[nodes[::max(1, len(nodes) // 6)]]
+            solutions = counting._span_solutions(gram, level, q)
+            got = domain.span_indices(vectors, q, solutions)
+            targets = step_targets(field, s, level + 1)
+            for row, vecs in zip(got, vectors):
+                full = domain.span_indices(vecs[None], q)[0]
+                meets = conditional_mask(field, [tuple(v) for v in vecs], targets, d)
+                assert row.tolist() == full[meets[full]].tolist()
+            cleared += len(solutions)
+    assert (cleared > 0) == any(simplex_rank(field, s) < k for s in simplices)
 
 
 @pytest.fixture

@@ -115,6 +115,10 @@ def test_span_indices_match_product_oracle(q):
         assert out.dtype == np.int64 and out.shape == (len(vectors), q ** m)
         for row, vs in zip(out, vectors.tolist()):
             assert row.tolist() == product_span(vs, q)
+        # given coefficient rows pick those combinations, in their order
+        picked = rng.permutation(q ** m)[:2]
+        coeffs = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.int64).reshape(q ** m, m)
+        assert np.array_equal(domain.span_indices(vectors, q, coeffs[picked]), out[:, picked])
     assert domain.span_indices(cases[0], q).tolist() == [[0], [0]]
     dependent = domain.span_indices(cases[-1], q)
     # a dependent pair spans a line: each of its q points repeats q times

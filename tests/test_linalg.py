@@ -2,7 +2,10 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_valid_simplex, standard_simplex
 from fqsimplex.field import PrimeField
@@ -364,6 +367,22 @@ def test_extend_isometry_random_instances():
             y = tuple(rnd.randrange(q) for _ in range(d))
             assert dot(f, mat_vec(f, u, x), mat_vec(f, u, y)) == dot(f, x, y)
         done += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 13]), d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_extend_isometry_property(data, q, d, seed):
+    # the target is the source under a random orthogonal map, so the pair
+    # is isometric; extend_isometry must give an orthogonal U doing the same
+    f = PrimeField(q)
+    m = data.draw(st.integers(1, d), label="m")
+    vector = st.tuples(*[st.integers(0, q - 1)] * d)
+    src = data.draw(st.lists(vector, min_size=m, max_size=m), label="source")
+    assume(matrix_rank(f, [tuple(dot(f, a, b) for b in src) for a in src]) == m)
+    target = [mat_vec(f, random_orthogonal(f, d, np.random.default_rng(seed)), v) for v in src]
+    u = extend_isometry(f, src, target, d)
+    assert mat_mul(f, mat_transpose(u), u) == identity_matrix(d)
+    assert [mat_vec(f, u, v) for v in src] == target
 
 
 def test_extend_isometry_length_gate_mod_seven():
