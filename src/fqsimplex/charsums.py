@@ -30,6 +30,9 @@ from .linalg import length_sq, vec_reduce
 # ran equally fast at (11,3)).
 TABLE_BLOCK_BYTES = 2 ** 19
 
+# The Weil bound |sum| <= WEIL_CONSTANT sqrt(q) that the audit asserts.
+WEIL_CONSTANT = 2.0
+
 
 def gauss_sum(field: PrimeField) -> complex:
     """G = sum_x chi(x^2), by direct summation."""
@@ -157,10 +160,10 @@ def _twisted_tables(field: PrimeField):
     yield np.abs((left * eta_s[None, :]) @ right)
 
 
-def weil_bound_audit(q_max: int, bound_constant: float = 2.0) -> list:
+def weil_bound_audit(q_max: int) -> list:
     """For every odd prime q <= q_max and both twist parities, record the
     maximal |sum| / sqrt(q) over a in F_q^*, b in F_q and check it stays
-    under the bound constant."""
+    under WEIL_CONSTANT."""
     if q_max > 500:
         raise ValueError("audit capped at q_max = 500")
     rows = []
@@ -176,6 +179,6 @@ def weil_bound_audit(q_max: int, bound_constant: float = 2.0) -> list:
             val = float(table[flat // q, flat % q])
             ratio = val / math.sqrt(q)
             if best is None or ratio > best.ratio_to_sqrt_q:
-                best = WeilAuditRow(q, n, a, b, val, ratio, ratio <= bound_constant)
+                best = WeilAuditRow(q, n, a, b, val, ratio, ratio <= WEIL_CONSTANT)
         rows.append(best)
     return rows

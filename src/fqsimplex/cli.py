@@ -7,6 +7,11 @@ failing records carry "pass": false), and 2 on usage errors.  Output is
 deterministic for a fixed configuration and seed.  --threads is still
 accepted, for existing command lines, and has no effect: trials run
 serially.
+
+The argparse namespace is the configuration: every run_* function takes it
+as is, and each subparser names its runner with set_defaults(run=...).
+check_args makes the range checks argparse cannot.  The parser is built
+once, at import, and parse_args keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -18,12 +23,17 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .charsums import gauss_sum, quadratic_sum_closed_form, quadratic_sum_table, weil_bound_audit
+from .charsums import (
+    WEIL_CONSTANT,
+    gauss_sum,
+    quadratic_sum_closed_form,
+    quadratic_sum_table,
+    weil_bound_audit,
+)
 from .counting import (
     PointSet,
     check_lemma_work,
@@ -50,39 +60,21 @@ DEFAULT_ACCEPT = 3.0
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass
-class ExperimentConfig:
-    q: int
-    d: int
-    k: Optional[int] = None
-    r: Optional[int] = None
-    simplex_literal: Optional[str] = None
-    extremal: Optional[tuple] = None
-    alpha: float = 0.3
-    trials: int = 10
-    seed: int = 0
-    accept_constant: float = DEFAULT_ACCEPT
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def field(self) -> PrimeField:
-        return PrimeField(self.q)
-
-
-def resolve_simplex(cfg: ExperimentConfig, field: PrimeField) -> Simplex:
+def resolve_simplex(args, field: PrimeField) -> Simplex:
     """Build the reference simplex from --simplex, --extremal, or --k/--r,
     embed it into F_q^d, and put it in prefix-rank order."""
-    if cfg.simplex_literal is not None:
-        s = simplex_from_json(field, cfg.simplex_literal)
-        if s.d != cfg.d:
-            raise ValueError(f"simplex lives in dimension {s.d}, expected {cfg.d}")
-    elif cfg.extremal is not None:
-        k, r = cfg.extremal
-        s = embed_simplex(field, construct_extremal_simplex(field, k, r), cfg.d)
-    elif cfg.k is not None:
-        if cfg.r is None or cfg.r == cfg.k:
-            s = standard_simplex(field, cfg.d, cfg.k)
+    if args.simplex is not None:
+        s = simplex_from_json(field, args.simplex)
+        if s.d != args.d:
+            raise ValueError(f"simplex lives in dimension {s.d}, expected {args.d}")
+    elif args.extremal is not None:
+        k, r = args.extremal
+        s = embed_simplex(field, construct_extremal_simplex(field, k, r), args.d)
+    elif args.k is not None:
+        if args.r is None or args.r == args.k:
+            s = standard_simplex(field, args.d, args.k)
         else:
-            s = find_simplex_of_rank(field, cfg.d, cfg.k, cfg.r)
+            s = find_simplex_of_rank(field, args.d, args.k, args.r)
     else:
         raise ValueError("no simplex given: use --simplex, --extremal, or --k")
     return reorder_for_prefix_ranks(field, s)
@@ -138,10 +130,10 @@ def emit(records: list, out_path: Optional[str], fmt: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_verify_gauss(cfg: ExperimentConfig) -> list:
-    field = cfg.field()
-    q, d = cfg.q, cfg.d
-    tol = cfg.tolerance
+def run_verify_gauss(args) -> list:
+    field = PrimeField(args.q)
+    q, d = args.q, args.d
+    tol = args.tolerance
     check_lemma_work(q, d, "verify-gauss")
     records = []
     g = gauss_sum(field)
@@ -159,75 +151,78 @@ def run_verify_gauss(cfg: ExperimentConfig) -> list:
     return records
 
 
-def run_charsum_audit(q_max: int) -> list:
+def run_charsum_audit(args) -> list:
     records = []
-    for row in weil_bound_audit(q_max):
-        rec = record("charsum-audit", {"q": row.q}, row.ratio_to_sqrt_q, 2.0, row.passed)
+    for row in weil_bound_audit(args.q_max):
+        rec = record("charsum-audit", {"q": row.q}, row.ratio_to_sqrt_q, WEIL_CONSTANT, row.passed)
         rec.update(row.to_dict())
         records.append(rec)
+    if not records:
+        raise ValueError(f"no odd prime up to q-max = {args.q_max}: nothing to check")
+    records.append(summary_record("charsum-audit", {"q_max": args.q_max}, records[:]))
     return records
 
 
-def run_verify_measures(cfg: ExperimentConfig, samples: int) -> list:
-    field = cfg.field()
+def run_verify_measures(args) -> list:
+    field = PrimeField(args.q)
     records = []
-    for rep in measure_suite(field, cfg.d, seed=cfg.seed, samples=samples):
-        passed = rep["implied_constant"] <= cfg.accept_constant
+    for rep in measure_suite(field, args.d, seed=args.seed, samples=args.samples):
+        passed = rep["implied_constant"] <= args.accept_constant
         rec = record("verify-measures",
-                     {"q": cfg.q, "d": cfg.d, "accept_constant": cfg.accept_constant},
+                     {"q": args.q, "d": args.d, "accept_constant": args.accept_constant},
                      rep["implied_constant"], rep["bound"], passed)
         rec.update(rep)
         records.append(rec)
     return records
 
 
-def run_count(cfg: ExperimentConfig, set_mode: str) -> list:
-    field = cfg.field()
-    simplex = resolve_simplex(cfg, field)
-    check_work(cfg.q, cfg.d, simplex.k)
-    if set_mode == "full":
-        A = PointSet.full(cfg.q, cfg.d)
+def run_count(args) -> list:
+    field = PrimeField(args.q)
+    simplex = resolve_simplex(args, field)
+    check_work(args.q, args.d, simplex.k)
+    if args.set == "full":
+        A = PointSet.full(args.q, args.d)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        A = PointSet.random(cfg.q, cfg.d, cfg.alpha, rng)
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+        A = PointSet.random(args.q, args.d, args.alpha, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = count_isometric_copies(A, simplex, field=field)
     rec = record("count",
-                 {"q": cfg.q, "d": cfg.d, "k": simplex.k, "set": set_mode, "seed": cfg.seed},
+                 {"q": args.q, "d": args.d, "k": simplex.k, "set": args.set, "seed": args.seed},
                  rep.exact_count, None, True)
     rec.update(rep.to_dict())
     return [rec]
 
 
-def run_random_experiment(cfg: ExperimentConfig) -> list:
-    field = cfg.field()
-    simplex = resolve_simplex(cfg, field)
+def run_random_experiment(args) -> list:
+    field = PrimeField(args.q)
+    simplex = resolve_simplex(args, field)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reports = random_set_experiment(field, simplex, cfg.alpha, cfg.trials, cfg.seed)
-    params = {"q": cfg.q, "d": cfg.d, "k": simplex.k, "alpha": cfg.alpha,
-              "trials": cfg.trials, "seed": cfg.seed}
+        reports = random_set_experiment(field, simplex, args.alpha, args.trials, args.seed)
+    params = {"q": args.q, "d": args.d, "k": simplex.k, "alpha": args.alpha,
+              "trials": args.trials, "seed": args.seed}
     records = []
     for rep in reports:
         rec = record("random-experiment", {**params, "trial": rep.trial},
-                     rep.normalized_error, cfg.accept_constant,
-                     rep.normalized_error <= cfg.accept_constant)
+                     rep.normalized_error, args.accept_constant,
+                     rep.normalized_error <= args.accept_constant)
         rec.update(rep.to_dict())
         records.append(rec)
     errs = [rep.normalized_error for rep in reports]
     records.append(summary_record("random-experiment", params, records,
                                   max_normalized_error=max(errs),
                                   mean_normalized_error=sum(errs) / len(errs),
-                                  trials=cfg.trials))
+                                  trials=args.trials))
     return records
 
 
-def run_verify_lemma(cfg: ExperimentConfig, which: str, samples: int, j_opt: Optional[int]) -> list:
-    field = cfg.field()
-    simplex = resolve_simplex(cfg, field)
-    k = simplex.k
-    if samples < 1:
+def run_verify_lemma(args) -> list:
+    field = PrimeField(args.q)
+    simplex = resolve_simplex(args, field)
+    k, which, j_opt = simplex.k, args.which, args.j
+    if args.samples < 1:
         raise ValueError("samples must be positive")
     records = []
     if which == "4.1":
@@ -235,40 +230,40 @@ def run_verify_lemma(cfg: ExperimentConfig, which: str, samples: int, j_opt: Opt
             raise ValueError("the dependent-mass bound needs k >= 2")
         if j_opt is not None and not 2 <= j_opt <= k:
             raise ValueError("need 2 <= j <= k")
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+        for i in range(args.samples):
             j = j_opt if j_opt is not None else 2 + int(rng.integers(k - 1))
             anchors = sample_anchor_tuple(field, simplex, j, rng)
             rep = verify_dependent_bound(field, simplex, j, anchors)
-            rec = record("verify-lemma", {"which": which, "q": cfg.q, "d": cfg.d, "sample": i},
+            rec = record("verify-lemma", {"which": which, "q": args.q, "d": args.d, "sample": i},
                          rep["value"], rep["bound"], rep["pass"])
             rec.update(rep)
             records.append(rec)
     elif which == "4.2":
         js = [j_opt] if j_opt is not None else list(range(1, k + 1))
         for j in js:
-            check_lemma_work(cfg.q, cfg.d, which, j)
+            check_lemma_work(args.q, args.d, which, j)
         for j in js:
             rep = verify_count_asymptotic(field, simplex, j)
-            passed = rep["implied_constant"] <= cfg.accept_constant
-            rec = record("verify-lemma", {"which": which, "q": cfg.q, "d": cfg.d,
-                                          "accept_constant": cfg.accept_constant},
+            passed = rep["implied_constant"] <= args.accept_constant
+            rec = record("verify-lemma", {"which": which, "q": args.q, "d": args.d,
+                                          "accept_constant": args.accept_constant},
                          rep["implied_constant"], rep["bound"], passed)
             rec.update(rep)
             records.append(rec)
     else:
         j = j_opt if j_opt is not None else k
-        n = cfg.q ** cfg.d
+        n = args.q ** args.d
         if n <= 2048:
             xis = None
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            idxs = 1 + rng.permutation(n - 1)[:samples]
-            xis = [tuple(int(ix // cfg.q ** c) % cfg.q for c in range(cfg.d)) for ix in idxs]
+            rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+            idxs = 1 + rng.permutation(n - 1)[:args.samples]
+            xis = [tuple(int(ix // args.q ** c) % args.q for c in range(args.d)) for ix in idxs]
         rep = verify_error_lemma(field, simplex, j, xis)
-        passed = rep["implied_constant"] <= cfg.accept_constant
-        rec = record("verify-lemma", {"which": which, "q": cfg.q, "d": cfg.d,
-                                      "accept_constant": cfg.accept_constant},
+        passed = rep["implied_constant"] <= args.accept_constant
+        rec = record("verify-lemma", {"which": which, "q": args.q, "d": args.d,
+                                      "accept_constant": args.accept_constant},
                      rep["implied_constant"], rep["bound"], passed)
         rec.update(rep)
         records.append(rec)
@@ -307,22 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-gauss", help="closed-form quadratic sums vs direct summation")
     common(p)
+    p.set_defaults(run=run_verify_gauss)
 
     p = sub.add_parser("charsum-audit", help="normalized twisted-sum maxima per modulus")
     p.add_argument("--q-max", type=int, default=101)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.set_defaults(run=run_charsum_audit)
 
     p = sub.add_parser("verify-measures", help="spectral decay of the simplex measures")
     common(p)
     p.add_argument("--samples", type=int, default=2, help="anchor samples per case")
+    p.set_defaults(run=run_verify_measures)
 
     p = sub.add_parser("count", help="exact embedding count in a point set")
     common(p, simplex_opts=True, alpha=True)
     p.add_argument("--set", choices=("full", "random"), default="full")
+    p.set_defaults(run=run_count)
 
     p = sub.add_parser("random-experiment", help="embedding statistics over random sets")
     common(p, simplex_opts=True, alpha=True, trials=True)
+    p.set_defaults(run=run_random_experiment)
 
     p = sub.add_parser("verify-lemma", help="counting inequalities and asymptotics")
     common(p, simplex_opts=True)
@@ -330,71 +330,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--j", type=int, default=None,
                    help="step j: 2 <= j <= k for 4.1 and 4.3, 1 <= j <= k for 4.2")
+    p.set_defaults(run=run_verify_lemma)
 
     return parser
 
 
-def config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        q=args.q,
-        d=args.d,
-        k=getattr(args, "k", None),
-        r=getattr(args, "r", None),
-        simplex_literal=getattr(args, "simplex", None),
-        extremal=tuple(args.extremal) if getattr(args, "extremal", None) else None,
-        alpha=getattr(args, "alpha", 0.3),
-        trials=getattr(args, "trials", 10),
-        seed=args.seed,
-        accept_constant=args.accept_constant,
-        tolerance=args.tolerance,
-    )
-    if cfg.d < 1:
+PARSER = build_parser()
+
+
+def check_args(args) -> None:
+    """The range checks argparse cannot make, first failure first.  An
+    option a subcommand lacks passes (charsum-audit has none of them).
+    --q is checked after these, by the PrimeField each runner builds first."""
+    opts = vars(args)
+    k, r = opts.get("k"), opts.get("r")
+    if opts.get("d", 1) < 1:
         raise ValueError("d must be at least 1")
-    if cfg.k is not None and cfg.k < 1:
+    if k is not None and k < 1:
         raise ValueError("k must be at least 1")
-    if cfg.r is not None and cfg.k is not None and not 0 <= cfg.r <= cfg.k:
+    if r is not None and k is not None and not 0 <= r <= k:
         raise ValueError("need 0 <= r <= k")
-    if not 0 < cfg.alpha <= 1:
+    if not 0 < opts.get("alpha", 1) <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    if cfg.trials < 1:
+    if opts.get("trials", 1) < 1:
         raise ValueError("trials must be positive")
-    if args.threads < 1:
+    if opts.get("threads", 1) < 1:
         raise ValueError("threads must be positive")
-    PrimeField(cfg.q)
-    return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        if args.command == "charsum-audit":
-            records = run_charsum_audit(args.q_max)
-            if not records:
-                raise ValueError(f"no odd prime up to q-max = {args.q_max}: nothing to check")
-            records.append(summary_record("charsum-audit", {"q_max": args.q_max}, records[:]))
-            emit(records, args.out, args.format)
-            return 0 if all(r["pass"] for r in records) else 1
-
-        cfg = config_from_args(args)
-        if args.command == "verify-gauss":
-            records = run_verify_gauss(cfg)
-        elif args.command == "verify-measures":
-            records = run_verify_measures(cfg, args.samples)
-        elif args.command == "count":
-            records = run_count(cfg, args.set)
-        elif args.command == "random-experiment":
-            records = run_random_experiment(cfg)
-        elif args.command == "verify-lemma":
-            records = run_verify_lemma(cfg, args.which, args.samples, args.j)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-        if not records or records[-1].get("check") != "summary":
-            records.append(summary_record(args.command, {"q": cfg.q, "d": cfg.d}, records[:]))
+        check_args(args)
+        records = args.run(args)
+        if not records or records[-1]["check"] != "summary":
+            records.append(summary_record(args.command, {"q": args.q, "d": args.d}, records[:]))
         emit(records, args.out, args.format)
         return 0 if all(r["pass"] for r in records) else 1
     except (ValueError, ZeroDivisionError) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        PARSER.exit(2, f"{PARSER.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

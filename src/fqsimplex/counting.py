@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -555,25 +555,9 @@ class CountReport:
     trial: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "q": self.q,
-            "d": self.d,
-            "k": self.k,
-            "rank": self.rank,
-            "alpha": self.alpha,
-            "set_size": self.set_size,
-            "exact_count": self.exact_count,
-            "unordered_count": self.unordered_count,
-            "symmetry_factor": self.symmetry_factor,
-            "s_value": self.s_value,
-            "main_term": self.main_term,
-            "error_bound": self.error_bound,
-            "normalized_error": self.normalized_error,
-            "density_threshold": self.density_threshold,
-            "dimension_warning": self.dimension_warning,
-        }
-        if self.trial is not None:
-            out["trial"] = self.trial
+        out = asdict(self)
+        if self.trial is None:
+            del out["trial"]
         return out
 
 

@@ -205,25 +205,6 @@ def orthogonal_complement(field: PrimeField, v_space: Subspace) -> Subspace:
     return Subspace(q, d, out)
 
 
-def subspace_intersection(field: PrimeField, a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: RREF the block matrix [[A A],[B 0]]; rows with zero left
-    half carry the intersection in their right half."""
-    if a.d != b.d:
-        raise ValueError("ambient dimension mismatch")
-    d = a.d
-    block = [tuple(row) + tuple(row) for row in a.basis]
-    block += [tuple(row) + tuple([0] * d) for row in b.basis]
-    reduced, _ = rref(field, block)
-    inter = [row[d:] for row in reduced if all(x == 0 for x in row[:d])]
-    out, _ = rref(field, inter)
-    return Subspace(field.q, d, out)
-
-
-def radical(field: PrimeField, v_space: Subspace) -> Subspace:
-    """V intersect Vperp: the self-orthogonal part of the subspace."""
-    return subspace_intersection(field, v_space, orthogonal_complement(field, v_space))
-
-
 # ---------------------------------------------------------------------------
 # simplices
 # ---------------------------------------------------------------------------
@@ -286,14 +267,11 @@ def gram_matrix(field: PrimeField, s: Simplex) -> tuple:
     return tuple(tuple(dot(field, u, v) for v in diffs) for u in diffs)
 
 
-def simplex_span(field: PrimeField, s: Simplex) -> Subspace:
-    return subspace_span(field, s.diffs(), s.d)
-
-
 def simplex_rank(field: PrimeField, s: Simplex) -> int:
-    """k minus the dimension of the radical of the span of differences."""
-    v_space = simplex_span(field, s)
-    return s.k - radical(field, v_space).dim
+    """k minus the dimension of the radical V cap V^perp of the span V of
+    the differences.  The Gram matrix has rank dim V - dim(V cap V^perp),
+    so the rank is k - rank(diffs) + rank(Gram), for dependent tuples too."""
+    return s.k - matrix_rank(field, s.diffs()) + matrix_rank(field, gram_matrix(field, s))
 
 
 def prefix_simplex(s: Simplex, j: int) -> Simplex:

@@ -218,3 +218,19 @@ def test_threads_env_fallback(tmp_path):
     with_env = subprocess.run(base, capture_output=True, check=True, env=env)
     plain = subprocess.run(base, capture_output=True, check=True)
     assert with_env.stdout == plain.stdout
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process: a call with non-default flags
+    # and a usage error must leave the next call's defaults as they were
+    code = main(["count", "--q", "5", "--d", "3", "--k", "1", "--set", "random",
+                 "--alpha", "0.5", "--format", "csv"])
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--q", "5", "--d", "3", "--k", "1", "--alpha", "1.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["count", "--q", "5", "--d", "3", "--k", "1", "--set", "random"]
+    assert main(argv) == 0
+    fresh = subprocess.run([sys.executable, "-m", "fqsimplex"] + argv, capture_output=True, check=True, text=True)
+    assert capsys.readouterr().out == fresh.stdout

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqsimplex import domain
 from fqsimplex.field import PrimeField
@@ -103,10 +105,9 @@ def test_convolution_theorem_two_routes(q, d, rng):
     assert np.abs(lhs - rhs).max() < 1e-8
 
 
-def test_convolution_direct_sum_oracle(rng):
-    q, d = 3, 2
-    f = random_function(q, d, rng)
-    g = random_function(q, d, rng)
+def direct_convolution(f, g):
+    """Oracle: f*g(x) = q^-d sum_y f(y) g(x - y), one point pair at a time."""
+    q, d = f.q, f.d
     direct = np.zeros(q ** d, dtype=complex)
     for xi in range(q ** d):
         x = domain.point_of(xi, q, d)
@@ -116,7 +117,50 @@ def test_convolution_direct_sum_oracle(rng):
             xmy = tuple((a - b) % q for a, b in zip(x, y))
             s += f.values[yi] * g.values[domain.index_of(xmy, q)]
         direct[xi] = s / q ** d
-    assert np.abs(convolve(f, g).values - direct).max() < 1e-12
+    return direct
+
+
+def test_convolution_direct_sum_oracle(rng):
+    q, d = 3, 2
+    f = random_function(q, d, rng)
+    g = random_function(q, d, rng)
+    assert np.abs(convolve(f, g).values - direct_convolution(f, g)).max() < 1e-12
+
+
+# (q, d) with q^d <= 125, so the naive transform and the direct sum stay fast
+SMALL_GRIDS = [(q, d) for q, d in GRID if q ** d <= 125]
+VALUES = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def function_pairs(draw):
+    q, d = draw(st.sampled_from(SMALL_GRIDS))
+    f, g = (DenseFunction(q, d, np.array(draw(st.lists(VALUES, min_size=q ** d, max_size=q ** d)),
+                                         dtype=np.complex128)) for _ in range(2))
+    return f, g
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=function_pairs())
+def test_plancherel_property(pair):
+    f, g = pair
+    lhs = (f.values * g.values.conj()).mean()
+    rhs = (fourier_transform_naive(f).values * fourier_transform_naive(g).values.conj()).sum()
+    scale = 1 + np.abs(f.values).max() * np.abs(g.values).max()
+    assert abs(lhs - rhs) <= 1e-9 * scale
+    assert plancherel_check(f, g) <= 1e-9 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=function_pairs())
+def test_convolution_theorem_property(pair):
+    f, g = pair
+    scale = 1 + np.abs(f.values).max() * np.abs(g.values).max()
+    direct = DenseFunction(f.q, f.d, direct_convolution(f, g))
+    assert np.abs(convolve(f, g).values - direct.values).max() <= 1e-9 * scale
+    lhs = fourier_transform_naive(direct).values
+    rhs = fourier_transform_naive(f).values * fourier_transform_naive(g).values
+    assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 
 
 def test_convolution_commutes_and_associates(rng):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -30,7 +31,6 @@ from fqsimplex.linalg import (
     orthogonal_complement,
     prefix_rank_sequence,
     prefix_simplex,
-    radical,
     random_orthogonal,
     reorder_for_prefix_ranks,
     simplex_from_json,
@@ -38,7 +38,6 @@ from fqsimplex.linalg import (
     simplex_rank,
     span_elements,
     subspace_contains,
-    subspace_intersection,
     subspace_span,
 )
 
@@ -122,17 +121,6 @@ def test_orthogonal_complement_properties():
                     assert dot(f, a, b) == 0
 
 
-def test_intersection_and_radical():
-    v = subspace_span(F5, [(1, 0, 0), (0, 1, 0)], 3)
-    w = subspace_span(F5, [(0, 1, 0), (0, 0, 1)], 3)
-    assert subspace_intersection(F5, v, w) == subspace_span(F5, [(0, 1, 0)], 3)
-    assert subspace_intersection(F5, v, v) == v
-    iso = subspace_span(F5, [(1, 2)], 2)
-    assert radical(F5, iso) == iso
-    nondeg = subspace_span(F5, [(1, 0)], 2)
-    assert radical(F5, nondeg).dim == 0
-
-
 def test_span_elements_enumeration():
     v = subspace_span(F5, [(1, 2)], 2)
     elems = set(span_elements(F5, v))
@@ -179,16 +167,28 @@ def test_simplex_rank_examples():
 
 
 def test_simplex_rank_matches_gram_rank():
-    # the radical formula and the Gram matrix rank must agree
-    rnd = random.Random(5)
-    import numpy as np
-
+    # oracle: the radical of V = span(diffs) has q^dim points, the points of
+    # V orthogonal to every difference; the rank is k minus that dim
     rng = np.random.default_rng(17)
-    for q, d, k in [(3, 2, 2), (5, 3, 2), (7, 4, 3), (5, 4, 2)]:
+    for q, d, k in [(3, 2, 2), (5, 3, 2), (7, 4, 3), (5, 4, 2), (3, 4, 3)]:
         f = PrimeField(q)
-        for _ in range(20):
-            s = random_valid_simplex(f, d, k, rng)
-            assert simplex_rank(f, s) == matrix_rank(f, gram_matrix(f, s))
+        for i in range(20):
+            if i % 3:
+                s = random_valid_simplex(f, d, k, rng)
+            else:  # dependent: the last difference is a combination of the others
+                pts = [tuple(int(x) for x in rng.integers(q, size=d)) for _ in range(k)]
+                c = [int(x) for x in rng.integers(q, size=k)]
+                last = tuple((pts[0][t] + sum(ci * (p[t] - pts[0][t]) for ci, p in zip(c, pts))) % q
+                             for t in range(d))
+                s = Simplex(q, tuple(pts) + (last,))
+            diffs = s.diffs()
+            radical_points = sum(all(dot(f, v, u) == 0 for u in diffs)
+                                 for v in span_elements(f, subspace_span(f, diffs, d)))
+            dim = round(math.log(radical_points, q))
+            assert q ** dim == radical_points
+            assert simplex_rank(f, s) == k - dim
+            if simplex_is_valid(f, s):
+                assert simplex_rank(f, s) == matrix_rank(f, gram_matrix(f, s))
 
 
 def test_rank_dimension_constraint():

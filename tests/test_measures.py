@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_points, standard_simplex
+from conftest import all_points, random_valid_simplex, standard_simplex
 from fqsimplex import domain
 from fqsimplex.field import PrimeField
 from fqsimplex.fourier import average, fourier_transform
@@ -13,7 +15,9 @@ from fqsimplex.linalg import (
     gram_matrix,
     length_sq,
     make_simplex,
+    mat_vec,
     matrix_rank,
+    random_orthogonal,
     simplex_rank,
     subspace_contains,
     subspace_span,
@@ -158,6 +162,26 @@ def test_detection_matches_gram_comparison_exhaustive_small():
         assert (detected > 0) == same_gram
         if detected:
             assert detected == q ** (k * (k + 1) // 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7]), d=st.integers(1, 4))
+def test_detection_matches_gram_comparison_property(data, q, d):
+    # brute force: the ys are detected exactly when their Gram matrix is the
+    # reference's; half the draws are isometric images of the reference
+    f = PrimeField(q)
+    k = data.draw(st.integers(1, d), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ref = random_valid_simplex(f, d, k, rng)
+    if data.draw(st.booleans(), label="isometric"):
+        u = random_orthogonal(f, d, rng)
+        ys = [mat_vec(f, u, v) for v in ref.diffs()]
+    else:
+        point = st.lists(st.integers(0, q - 1), min_size=d, max_size=d).map(tuple)
+        ys = data.draw(st.lists(point, min_size=k, max_size=k), label="ys")
+    detected = detection_product(f, ys, ref)
+    same_gram = gram_matrix(f, Simplex(q, ((0,) * d,) + tuple(ys))) == gram_matrix(f, ref)
+    assert detected == (q ** (k * (k + 1) // 2) if same_gram else 0)
 
 
 # -- span indicators ---------------------------------------------------------------
