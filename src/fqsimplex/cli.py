@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import domain
 from .charsums import (
     WEIL_CONSTANT,
     gauss_sum,
@@ -143,7 +144,7 @@ def run_verify_gauss(args) -> list:
     table = quadratic_sum_table(field, d)
     for a in field.units():
         for b_idx, brute in enumerate(table[a - 1].tolist()):
-            b = tuple((b_idx // q ** c) % q for c in range(d))
+            b = domain.point_of(b_idx, q, d)
             closed = quadratic_sum_closed_form(field, a, b, g=g)
             rel = abs(closed - brute) / max(1.0, abs(brute))
             records.append(record("verify-gauss", {"q": q, "d": d, "a": a, "b": list(b)},
@@ -259,7 +260,7 @@ def run_verify_lemma(args) -> list:
         else:
             rng = np.random.default_rng(np.random.SeedSequence(args.seed))
             idxs = 1 + rng.permutation(n - 1)[:args.samples]
-            xis = [tuple(int(ix // args.q ** c) % args.q for c in range(args.d)) for ix in idxs]
+            xis = [domain.point_of(int(ix), args.q, args.d) for ix in idxs]
         rep = verify_error_lemma(field, simplex, j, xis)
         passed = rep["implied_constant"] <= args.accept_constant
         rec = record("verify-lemma", {"which": which, "q": args.q, "d": args.d,

@@ -30,11 +30,11 @@ therefore memoizes the translates y -> A(. + y) of the set it counts,
 bit-packed for indicator sets.  A memo wraps its set once (domain.wrap)
 and computes the translates a call is missing in one batch, each a window
 of that copy; it keeps them in the room TRANSLATE_MEMO_BYTES leaves beside
-the copy, and recomputes them on use past that bound.  The copy itself is
-always held, so a memo holds max(TRANSLATE_MEMO_BYTES, copy) bytes at most;
-the copy is up to 21.4 times its set, and at the largest admitted set
-(a boolean set at (q, d) = (9973, 2)) it is 199 MB on its own.  The two
-paths keep separate memos, so their cross-check stays independent.  Blocks
+the copy, and recomputes them on use past that bound.  The copy is up to
+21.4 times its set, and check_work refuses a count whose copy alone would
+exceed TRANSLATE_MEMO_BYTES, so every admitted count stays within that
+budget per path.  The two paths keep separate memos, so their aggregations
+stay independent.  Blocks
 of nodes, pairs, support rows and unpacked translates are cut to at most
 BLOCK_BYTES, so memory stays bounded at any support size.
 """
@@ -74,8 +74,9 @@ from .measures import (
 STARRED_ENUM_CAP = 1_000_000
 # Bytes of memoized translates, with the wrapped copy they are read from,
 # that one aggregation path keeps; past this, translates are recomputed on
-# use instead of stored.  The copy is held even when it alone is larger
-# (up to 199 MB, a boolean set at (9973, 2)); then no translate is stored.
+# use instead of stored.  check_work refuses a count whose copy alone is
+# larger (a boolean set at (q, 2) for q >= 5801 would need up to 199 MB),
+# so counts stay within this budget.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
 # Bytes of one block of rows.  A block of tree nodes holds as many nodes as
 # BLOCK_BYTES of their tuples and their parents' pre-set rows; a chunk of
@@ -150,9 +151,12 @@ class PointSet:
         return DenseFunction(self.q, self.d, self.mask.astype(np.complex128))
 
     def translate(self, t) -> "PointSet":
-        """The set A + t."""
-        shifted = domain.translate_values(domain.wrap(self.mask, self.q, self.d), self.q, self.d, [[-c for c in t]])
-        return PointSet(self.q, self.d, shifted[0])
+        """The set A + t: x is in it when x - t is in A."""
+        t = np.asarray(t, dtype=np.int64)
+        if t.shape != (self.d,):
+            raise ValueError(f"vectors must have d = {self.d} coordinates, got an array of shape {t.shape}")
+        coords = domain.coords_matrix(self.q, self.d)
+        return PointSet(self.q, self.d, self.mask[domain.index_array(coords - t, self.q)])
 
     def apply_linear(self, matrix) -> "PointSet":
         """The image set U(A) for an invertible matrix U."""
@@ -601,9 +605,18 @@ def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
     """Work estimate of counting k-simplices in F_q^d over trials sets:
     the count identity's scale q^{(k+1)d - binom(k+1,2)} times trials.
     Raises ValueError above WORK_CAP, so a run that cannot finish is
-    refused before it starts."""
-    return _refuse_above_cap(q ** ((k + 1) * d - math.comb(k + 1, 2)) * trials,
+    refused before it starts.  Raises ValueError as well when the wrapped
+    copy a translate memo holds of a boolean set, q^(d-t) (2q-1)^t bytes
+    with t = domain.window_coords(q, d), exceeds TRANSLATE_MEMO_BYTES, so a
+    count stays within its memo budget."""
+    work = _refuse_above_cap(q ** ((k + 1) * d - math.comb(k + 1, 2)) * trials,
                              "q^((k+1)d - C(k+1,2)) x trials")
+    t = domain.window_coords(q, d)
+    copy = q ** (d - t) * (2 * q - 1) ** t
+    if copy > TRANSLATE_MEMO_BYTES:
+        raise ValueError(f"the wrapped copy of a set in F_{q}^{d} takes {copy:.3g} bytes, "
+                         f"over the translate memo budget of {TRANSLATE_MEMO_BYTES} bytes")
+    return work
 
 
 def check_lemma_work(q: int, d: int, which: str, j: int = 1) -> int:
@@ -631,9 +644,12 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     the reference simplex.
 
     Runs the boolean embedding counter and the exact rational script_S
-    path (separate enumeration, separate aggregation, each with its own
-    bounded memo of translates of A) and insists they agree as integers
-    before reporting; unordered_count must divide exactly as well.
+    path (separate aggregation, each with its own bounded memo of
+    translates of A) and insists they agree as integers before reporting;
+    unordered_count must divide exactly as well.  Both enumerate through
+    the one walker, _walk, so this cross-check does not test enumeration;
+    that is checked independently by the naive counters in the tests and
+    by perfbench's checks.count_over_set.
     support, if given, is the (N, k) flat-index support array of the walk,
     shared by calls on the same simplex.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .field import PrimeField
 
@@ -75,25 +75,6 @@ def mat_transpose(m: Sequence[Vector]) -> tuple:
 
 def identity_matrix(d: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_inv(field: PrimeField, m: Sequence[Vector]) -> tuple:
-    """Invert a square matrix by Gauss-Jordan; raises on singular input."""
-    q = field.q
-    d = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(d)] for i, row in enumerate(m)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] % q != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = field.inv(aug[col][col])
-        aug[col] = [(s * x) % q for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] % q != 0:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % q for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
 
 
 def rref(field: PrimeField, rows: Iterable[Vector]) -> tuple:
@@ -349,87 +330,17 @@ def reorder_for_prefix_ranks(field: PrimeField, s: Simplex) -> Simplex:
 # isometry extension (nonsingular Gram only)
 # ---------------------------------------------------------------------------
 
-def _anisotropic_in(field: PrimeField, basis: list) -> Optional[Vector]:
-    for v in basis:
-        if length_sq(field, v) != 0:
-            return v
-    for u, w in itertools.combinations(basis, 2):
-        if dot(field, u, w) != 0:
-            return vec_add(u, w, field.q)
-    return None
-
-
-def _orthogonal_basis(field: PrimeField, vectors: Sequence[Vector]) -> list:
-    """Gram-Schmidt over F_q for a nondegenerate span; every output vector
-    is anisotropic and the outputs are pairwise orthogonal."""
-    q = field.q
-    basis = [vec_reduce(v, q) for v in vectors]
-    out = []
-    while basis:
-        u = _anisotropic_in(field, basis)
-        if u is None:
-            raise ValueError("degenerate span: no anisotropic vector available")
-        lu = length_sq(field, u)
-        inv_lu = field.inv(lu)
-        nxt = []
-        for w in basis:
-            c = (dot(field, w, u) * inv_lu) % q
-            w2 = vec_sub(w, vec_scale(c, u, q), q)
-            if any(w2):
-                nxt.append(w2)
-        nxt, _ = rref(field, nxt)
-        out.append(u)
-        basis = list(nxt)
-    return out
-
-
-def _sum_of_two_squares(field: PrimeField, c: int) -> tuple:
-    """Some (a, b) with a^2 + b^2 = c; always solvable in F_q."""
-    q = field.q
-    for a in range(q):
-        rem = (c - a * a) % q
-        b = field.sqrt(rem)
-        if b is not None:
-            return a, b
-    raise RuntimeError("unreachable: every element is a sum of two squares")
-
-
-def _canonical_orthogonal_basis(field: PrimeField, vectors: Sequence[Vector]):
-    """Basis of the (nondegenerate) span with Gram diag(1,...,1) or
-    diag(1,...,1,nu) for the canonical nonsquare nu.  Returns (basis, tail)
-    where tail is 1 or nu."""
-    q = field.q
-    nu = field.nonsquare()
-    inv_nu = field.inv(nu)
-    ones = []
-    nus = []
-    for u in _orthogonal_basis(field, vectors):
-        l = length_sq(field, u)
-        if field.eta(l) == 1:
-            c = field.sqrt(l)
-            ones.append(vec_scale(field.inv(c), u, q))
-        else:
-            c = field.sqrt((l * inv_nu) % q)
-            nus.append(vec_scale(field.inv(c), u, q))
-    while len(nus) >= 2:
-        u = nus.pop()
-        w = nus.pop()
-        a, b = _sum_of_two_squares(field, inv_nu)
-        p = vec_add(vec_scale(a, u, q), vec_scale(b, w, q), q)
-        z = vec_add(vec_scale((-b) % q, u, q), vec_scale(a, w, q), q)
-        ones.extend([p, z])
-    if nus:
-        return ones + nus, nu
-    return ones, 1
-
-
 def extend_isometry(field: PrimeField, source: Sequence[Vector], target: Sequence[Vector], d: int) -> tuple:
     """An orthogonal matrix U (U^T U = I) with U source_i = target_i.
 
     Requires the two tuples to have equal pairwise dot products and a
     nonsingular common Gram matrix; the degenerate case is out of scope.
-    The construction maps both orthogonal complements onto a shared
-    canonical diagonal frame and transports one onto the other.
+    The construction follows the proof of Witt's extension theorem.
+    Gram-Schmidt runs on the (source, target) pairs in lockstep: every
+    choice depends only on dot products, so both sides take the same steps
+    and yield orthogonal anisotropic pairs (s, t).  For each pair U is
+    composed with one or two reflections (reflection_matrix) that carry
+    U s onto t and fix the targets already matched.
     """
     q = field.q
     src = [vec_reduce(v, q) for v in source]
@@ -449,22 +360,36 @@ def extend_isometry(field: PrimeField, source: Sequence[Vector], target: Sequenc
     if m and matrix_rank(field, gram_s) != m:
         raise ValueError("singular Gram matrix: degenerate tuples are unsupported")
 
-    if m < d:
-        comp_s = orthogonal_complement(field, subspace_span(field, src, d))
-        comp_t = orthogonal_complement(field, subspace_span(field, tgt, d))
-        can_s, tail_s = _canonical_orthogonal_basis(field, comp_s.basis)
-        can_t, tail_t = _canonical_orthogonal_basis(field, comp_t.basis)
-        if tail_s != tail_t:
-            raise RuntimeError("complement discriminants disagree; isometric inputs cannot do this")
-        cols_s = src + can_s
-        cols_t = tgt + can_t
-    else:
-        cols_s = src
-        cols_t = tgt
-
-    b_mat = mat_transpose(cols_s)
-    c_mat = mat_transpose(cols_t)
-    u_mat = mat_mul(field, c_mat, mat_inv(field, b_mat))
+    u_mat = identity_matrix(d)
+    pairs = list(zip(src, tgt))
+    while pairs:
+        i = next((i for i, (s, _) in enumerate(pairs) if length_sq(field, s)), None)
+        if i is None:
+            # all isotropic; a nonsingular Gram has some s_a.s_b != 0, and
+            # then |s_a + s_b|^2 = 2 s_a.s_b != 0 since q is odd
+            i, b = next((a, b) for a, b in itertools.combinations(range(len(pairs)), 2)
+                        if dot(field, pairs[a][0], pairs[b][0]))
+            pairs[i] = tuple(vec_add(x, y, q) for x, y in zip(pairs[i], pairs[b]))
+        s, t = pairs.pop(i)
+        inv_len = field.inv(length_sq(field, s))
+        rest = []
+        for s2, t2 in pairs:
+            c = (dot(field, s2, s) * inv_len) % q
+            rest.append((vec_sub(s2, vec_scale(c, s, q), q), vec_sub(t2, vec_scale(c, t, q), q)))
+        pairs = rest
+        # the targets matched so far are orthogonal to t and to u = U s,
+        # so each reflection below fixes them
+        u = mat_vec(field, u_mat, s)
+        w = vec_sub(u, t, q)
+        if not any(w):
+            continue
+        if length_sq(field, w):
+            u_mat = mat_mul(field, reflection_matrix(field, w), u_mat)
+        else:
+            # |u - t|^2 = 0 gives u.t = |t|^2, so |u + t|^2 = 4|t|^2 != 0:
+            # reflecting along u + t sends u to -t, and along t back to t
+            u_mat = mat_mul(field, reflection_matrix(field, vec_add(u, t, q)), u_mat)
+            u_mat = mat_mul(field, reflection_matrix(field, t), u_mat)
 
     ident = identity_matrix(d)
     if mat_mul(field, mat_transpose(u_mat), u_mat) != ident:

@@ -161,6 +161,17 @@ def test_count_that_cannot_finish_is_refused(capsys):
     assert "2.33e+14" in captured.err
 
 
+def test_count_whose_wrapped_copy_exceeds_the_memo_budget_is_refused(capsys):
+    # (9973, 2, 1) is under the work cap (9973^3 = 9.9e11), but the wrapped
+    # copy of its set, 9973 x 19945 bytes, is not under 64 MiB
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--q", "9973", "--d", "2", "--k", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1.99e+08 bytes" in captured.err
+
+
 @pytest.mark.parametrize("argv,estimate", [
     (["verify-lemma", "--which", "4.2", "--q", "13", "--d", "5", "--k", "3"], "2.33e+13"),
     (["verify-lemma", "--which", "4.3", "--q", "13", "--d", "5", "--k", "3"], "1.51e+15"),

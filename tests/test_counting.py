@@ -335,6 +335,19 @@ def test_work_cap_refuses_before_any_walk(monkeypatch):
     assert count_isometric_copies(PointSet.full(5, 3), s, field=F5).exact_count == 15000
 
 
+def test_memo_budget_refuses_a_count_whose_wrapped_copy_does_not_fit(monkeypatch):
+    # at (5,3) the window spans all three coordinates: the copy is 9^3 bytes
+    s = standard_simplex(F5, 3, 2)
+    assert wrapped_bytes(5, 3) == 9 ** 3
+    monkeypatch.setattr(counting, "TRANSLATE_MEMO_BYTES", 9 ** 3 - 1)
+    with pytest.raises(ValueError, match=r"729 bytes"):
+        counting.check_work(5, 3, 2)
+    with pytest.raises(ValueError, match=r"729 bytes"):
+        count_isometric_copies(PointSet.full(5, 3), s, field=F5)
+    monkeypatch.setattr(counting, "TRANSLATE_MEMO_BYTES", 9 ** 3)
+    assert counting.check_work(5, 3, 2) == 15625
+
+
 # -- the two aggregation routes ------------------------------------------------------
 
 def wrapped_bytes(q, d):

@@ -39,6 +39,7 @@ from fqsimplex.linalg import (
     span_elements,
     subspace_contains,
     subspace_span,
+    vec_sub,
 )
 
 F5 = PrimeField(5)
@@ -383,6 +384,27 @@ def test_extend_isometry_property(data, q, d, seed):
     u = extend_isometry(f, src, target, d)
     assert mat_mul(f, mat_transpose(u), u) == identity_matrix(d)
     assert [mat_vec(f, u, v) for v in src] == target
+
+
+def test_extend_isometry_all_isotropic_source():
+    # both vectors are isotropic with dot 2, so Gram-Schmidt must start
+    # from their sum, the only way to an anisotropic first pair
+    src = [(1, 2, 0, 0), (1, 3, 0, 0)]
+    tgt = [(0, 0, 1, 2), (0, 0, 1, 3)]
+    assert [length_sq(F5, v) for v in src] == [0, 0] and dot(F5, *src) == 2
+    u = extend_isometry(F5, src, tgt, 4)
+    assert [mat_vec(F5, u, v) for v in src] == tgt
+    assert mat_mul(F5, mat_transpose(u), u) == identity_matrix(4)
+
+
+def test_extend_isometry_isotropic_difference():
+    # u - t = (0, 4, 3) is isotropic and nonzero, so one reflection along
+    # it is impossible; the map reflects along u + t and then along t
+    src, tgt = (1, 0, 0), (1, 1, 2)
+    assert length_sq(F5, vec_sub(src, tgt, 5)) == 0
+    u = extend_isometry(F5, [src], [tgt], 3)
+    assert mat_vec(F5, u, src) == tgt
+    assert mat_mul(F5, mat_transpose(u), u) == identity_matrix(3)
 
 
 def test_extend_isometry_length_gate_mod_seven():
