@@ -4,9 +4,10 @@ Every subcommand emits JSON lines: one record per check carrying
 {check, params, value, bound, pass}, then a summary record.  Exit status is
 0 exactly when every asserted bound passed, 1 when a bound failed (the
 failing records carry "pass": false), and 2 on usage errors.  Output is
-deterministic for a fixed configuration and seed.  --threads is still
-accepted, for existing command lines, and has no effect: trials run
-serially.
+deterministic for a fixed configuration and seed.  A subcommand accepts
+only the options its run reads, with one exception: random-experiment still
+accepts --threads, for existing command lines, and it has no effect: trials
+run serially.
 
 The argparse namespace is the configuration: every run_* function takes it
 as is, and each subparser names its runner with set_defaults(run=...).
@@ -22,7 +23,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -186,9 +186,7 @@ def run_count(args) -> list:
     else:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         A = PointSet.random(args.q, args.d, args.alpha, rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = count_isometric_copies(A, simplex, field=field)
+    rep = count_isometric_copies(A, simplex, field=field)
     rec = record("count",
                  {"q": args.q, "d": args.d, "k": simplex.k, "set": args.set, "seed": args.seed},
                  rep.exact_count, None, True)
@@ -199,9 +197,7 @@ def run_count(args) -> list:
 def run_random_experiment(args) -> list:
     field = PrimeField(args.q)
     simplex = resolve_simplex(args, field)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reports = random_set_experiment(field, simplex, args.alpha, args.trials, args.seed)
+    reports = random_set_experiment(field, simplex, args.alpha, args.trials, args.seed)
     params = {"q": args.q, "d": args.d, "k": simplex.k, "alpha": args.alpha,
               "trials": args.trials, "seed": args.seed}
     records = []
@@ -276,62 +272,62 @@ def run_verify_lemma(args) -> list:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The fqsimplex parser.  Each subcommand takes exactly the options its
+    run_* reads: the shared ones it names from shared, then its own."""
     parser = argparse.ArgumentParser(prog="fqsimplex",
                                      description="verification experiments over F_q^d")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--q": dict(type=int, required=True, help="odd prime modulus"),
+        "--d": dict(type=int, default=2, help="ambient dimension"),
+        "--simplex": dict(help="JSON array of points, e.g. [[0,0],[1,0]]"),
+        "--extremal": dict(nargs=2, type=int, metavar=("K", "R"),
+                           help="extremal simplex of size K and rank R"),
+        "--k": dict(type=int, help="standard simplex size"),
+        "--r": dict(type=int, help="target rank for --k"),
+        "--seed": dict(type=int, default=0),
+        "--threads": dict(type=int, default=1,
+                          help="has no effect (trials run serially); kept so existing "
+                               "command lines still parse"),
+        "--accept-constant": dict(type=float, default=DEFAULT_ACCEPT),
+        "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE),
+        "--alpha": dict(type=float, default=0.3),
+        "--out": dict(default="-", help="output path (default: stdout)"),
+        "--format": dict(choices=("jsonl", "csv"), default="jsonl"),
+    }
+    simplex = ("--simplex", "--extremal", "--k", "--r")
 
-    def common(p, *, simplex_opts=False, alpha=False, trials=False):
-        p.add_argument("--q", type=int, required=True, help="odd prime modulus")
-        p.add_argument("--d", type=int, default=2, help="ambient dimension")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect (trials run serially)")
-        p.add_argument("--accept-constant", type=float, default=DEFAULT_ACCEPT)
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-        p.add_argument("--out", default="-", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        if simplex_opts:
-            p.add_argument("--simplex", help="JSON array of points, e.g. [[0,0],[1,0]]")
-            p.add_argument("--extremal", nargs=2, type=int, metavar=("K", "R"),
-                           help="extremal simplex of size K and rank R")
-            p.add_argument("--k", type=int, help="standard simplex size")
-            p.add_argument("--r", type=int, help="target rank for --k")
-        if alpha:
-            p.add_argument("--alpha", type=float, default=0.3)
-        if trials:
-            p.add_argument("--trials", type=int, default=10)
+    def add(name, run, help, *opts):
+        p = sub.add_parser(name, help=help)
+        for opt in opts + ("--out", "--format"):
+            p.add_argument(opt, **shared[opt])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("verify-gauss", help="closed-form quadratic sums vs direct summation")
-    common(p)
-    p.set_defaults(run=run_verify_gauss)
+    add("verify-gauss", run_verify_gauss, "closed-form quadratic sums vs direct summation",
+        "--q", "--d", "--tolerance")
 
-    p = sub.add_parser("charsum-audit", help="normalized twisted-sum maxima per modulus")
+    p = add("charsum-audit", run_charsum_audit, "normalized twisted-sum maxima per modulus")
     p.add_argument("--q-max", type=int, default=101)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.set_defaults(run=run_charsum_audit)
 
-    p = sub.add_parser("verify-measures", help="spectral decay of the simplex measures")
-    common(p)
+    p = add("verify-measures", run_verify_measures, "spectral decay of the simplex measures",
+            "--q", "--d", "--seed", "--accept-constant")
     p.add_argument("--samples", type=int, default=2, help="anchor samples per case")
-    p.set_defaults(run=run_verify_measures)
 
-    p = sub.add_parser("count", help="exact embedding count in a point set")
-    common(p, simplex_opts=True, alpha=True)
+    p = add("count", run_count, "exact embedding count in a point set",
+            "--q", "--d", *simplex, "--seed", "--alpha")
     p.add_argument("--set", choices=("full", "random"), default="full")
-    p.set_defaults(run=run_count)
 
-    p = sub.add_parser("random-experiment", help="embedding statistics over random sets")
-    common(p, simplex_opts=True, alpha=True, trials=True)
-    p.set_defaults(run=run_random_experiment)
+    p = add("random-experiment", run_random_experiment, "embedding statistics over random sets",
+            "--q", "--d", *simplex, "--seed", "--threads", "--accept-constant", "--alpha")
+    p.add_argument("--trials", type=int, default=10)
 
-    p = sub.add_parser("verify-lemma", help="counting inequalities and asymptotics")
-    common(p, simplex_opts=True)
+    p = add("verify-lemma", run_verify_lemma, "counting inequalities and asymptotics",
+            "--q", "--d", *simplex, "--seed", "--accept-constant")
     p.add_argument("--which", choices=("4.1", "4.2", "4.3"), required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--j", type=int, default=None,
                    help="step j: 2 <= j <= k for 4.1 and 4.3, 1 <= j <= k for 4.2")
-    p.set_defaults(run=run_verify_lemma)
 
     return parser
 
@@ -341,7 +337,7 @@ PARSER = build_parser()
 
 def check_args(args) -> None:
     """The range checks argparse cannot make, first failure first.  An
-    option a subcommand lacks passes (charsum-audit has none of them).
+    option a subcommand lacks passes.
     --q is checked after these, by the PrimeField each runner builds first."""
     opts = vars(args)
     k, r = opts.get("k"), opts.get("r")

@@ -539,6 +539,8 @@ class CountReport:
     alpha is the realized density set_size / q^d (set_size makes it exact);
     density_threshold is the reference scale q^{(2k-d-r)/(k+1)} below which
     the asymptotic carries no guarantee.  It is reported, never enforced.
+    dimension_warning records d <= 2k - r, where the dimension leaves the
+    asymptotic no room; it is the one place that fact is reported.
     """
 
     q: int
@@ -652,6 +654,7 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     by perfbench's checks.count_over_set.
     support, if given, is the (N, k) flat-index support array of the walk,
     shared by calls on the same simplex.
+    d <= 2k - r sets the report's dimension_warning; nothing is warned.
     """
     field = field or PrimeField(A.q)
     if (A.q, A.d) != (simplex.q, simplex.d):
@@ -661,12 +664,6 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     q, d, k = A.q, A.d, simplex.k
     check_work(q, d, k)
     r = simplex_rank(field, simplex)
-    warn = d <= 2 * k - r
-    if warn:
-        warnings.warn(
-            f"d = {d} is at most 2k - r = {2 * k - r}: the count may be degenerate",
-            stacklevel=2,
-        )
 
     exact = _count_embeddings(field, A, simplex)
     s_exact = script_S_indicator_exact(field, [A.mask] * (k + 1), simplex, support=support)
@@ -698,7 +695,7 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
         error_bound=err_scale * scale,
         normalized_error=normalized,
         density_threshold=float(q) ** ((2 * k - d - r) / (k + 1)),
-        dimension_warning=warn,
+        dimension_warning=d <= 2 * k - r,
         trial=trial,
     )
 
@@ -833,22 +830,15 @@ def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, tri
     The master seed expands through a splittable seed sequence, one child
     per trial, so each trial's set depends only on the seed and its index.
     Trials run one after another and share one enumerated support array.
+    Each report sets dimension_warning when d <= 2k - r.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     q, d = simplex.q, simplex.d
     check_work(q, d, simplex.k, trials)
-    r = simplex_rank(field, simplex)
-    if d <= 2 * simplex.k - r:
-        warnings.warn(
-            f"d = {d} is at most 2k - r = {2 * simplex.k - r}: the count may be degenerate",
-            stacklevel=2,
-        )
     support = _support_indices(field, simplex, simplex.k)
     children = np.random.SeedSequence(seed).spawn(trials)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [count_isometric_copies(PointSet.random(q, d, alpha, np.random.default_rng(child),
-                                                       fixed_size=fixed_size),
-                                       simplex, field=field, support=support, trial=i)
-                for i, child in enumerate(children)]
+    return [count_isometric_copies(PointSet.random(q, d, alpha, np.random.default_rng(child),
+                                                   fixed_size=fixed_size),
+                                   simplex, field=field, support=support, trial=i)
+            for i, child in enumerate(children)]

@@ -70,9 +70,17 @@ def coords_matrix(q: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def lengths_vector(q: int, d: int) -> np.ndarray:
-    """|x|^2 mod q for every point, in index order."""
-    coords = coords_matrix(q, d).astype(np.int64)
-    out = ((coords * coords).sum(axis=1) % q).astype(np.int32)
+    """|x|^2 mod q for every point, in index order.  Sums one coordinate at
+    a time, reduced mod q at each step, so no (q^d, d) copy is made; in
+    int64, since a step's sum, below q^2, overflows int32 from q = 46341."""
+    coords = coords_matrix(q, d)
+    acc = np.zeros(len(coords), dtype=np.int64)
+    for c in range(d):
+        sq = coords[:, c].astype(np.int64)
+        sq *= sq
+        acc += sq
+        acc %= q
+    out = acc.astype(np.int32)
     out.flags.writeable = False
     return out
 

@@ -43,20 +43,22 @@ def roll_translate(values, q, d, y):
 def naive_embedding_count(field, A: PointSet, simplex: Simplex) -> int:
     """Quadruple-loop oracle: every tuple (x, y_1..y_k) with independent y's,
     all vertices inside A and the translated tuple Gram-equal to the
-    reference.  Deliberately ignorant of the support enumeration."""
+    reference.  Deliberately ignorant of the support enumeration.  The
+    cheap tests run first: each y_i on its sphere |y_i|^2 = G_ii, then the
+    whole Gram matrix, and the rank last; x runs over the points of A."""
     q, d, k = A.q, A.d, simplex.k
     pts = all_points(q, d)
     ref = gram_matrix(field, simplex)
     zero = (0,) * d
+    spheres = [[y for y in pts if sum(c * c for c in y) % q == ref[i][i]] for i in range(k)]
+    members = [x for x in pts if A.mask[domain.index_of(x, q)]]
     count = 0
-    for ys in itertools.product(pts, repeat=k):
-        if matrix_rank(field, list(ys)) != k:
-            continue
+    for ys in itertools.product(*spheres):
         if gram_matrix(field, Simplex(q, (zero,) + ys)) != ref:
             continue
-        for x in pts:
-            if not A.mask[domain.index_of(x, q)]:
-                continue
+        if matrix_rank(field, list(ys)) != k:
+            continue
+        for x in members:
             if all(A.mask[domain.index_of(tuple((a + b) % q for a, b in zip(x, y)), q)] for y in ys):
                 count += 1
     return count

@@ -121,6 +121,38 @@ def test_usage_error_exit_code():
         main(["no-such-command"])
 
 
+# every option a subcommand accepts is one its run reads; these it does not
+BASE_ARGV = {
+    "verify-gauss": ["verify-gauss", "--q", "3", "--d", "2"],
+    "verify-measures": ["verify-measures", "--q", "5", "--d", "3"],
+    "count": ["count", "--q", "5", "--d", "3", "--k", "1"],
+    "random-experiment": ["random-experiment", "--q", "5", "--d", "3", "--k", "1"],
+    "verify-lemma": ["verify-lemma", "--which", "4.2", "--q", "5", "--d", "3", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("verify-gauss", "--seed", "1"),
+    ("verify-gauss", "--threads", "2"),
+    ("verify-gauss", "--accept-constant", "3"),
+    ("verify-measures", "--threads", "2"),
+    ("verify-measures", "--tolerance", "1e-6"),
+    ("count", "--threads", "2"),
+    ("count", "--accept-constant", "3"),
+    ("count", "--tolerance", "1e-6"),
+    ("random-experiment", "--tolerance", "1e-6"),
+    ("verify-lemma", "--threads", "2"),
+    ("verify-lemma", "--tolerance", "1e-6"),
+])
+def test_option_the_run_does_not_read_is_a_usage_error(command, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option}" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-lemma", "--which", "4.1", "--q", "7", "--d", "4", "--k", "3", "--samples", "0"],
     ["charsum-audit", "--q-max", "2"],

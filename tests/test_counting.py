@@ -285,9 +285,12 @@ def test_count_monotone_in_the_set(rng):
 
 
 def test_count_warns_in_tight_dimension():
-    s = standard_simplex(F3, 2, 2)  # d = 2 = 2k - r
-    with pytest.warns(UserWarning):
-        count_isometric_copies(PointSet.full(3, 2), s, field=F3)
+    # d = 2 = 2k - r: reported in the record only, never as a Python warning
+    s = standard_simplex(F3, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = count_isometric_copies(PointSet.full(3, 2), s, field=F3)
+    assert rep.dimension_warning is True
 
 
 def test_count_rejects_mismatched_domain():

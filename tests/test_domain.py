@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -125,3 +126,16 @@ def test_span_indices_match_product_oracle(q):
     for row in dependent[[0, 2]]:
         assert sorted(np.unique(row, return_counts=True)[1].tolist()) == [q] * q
 
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (3, 12), (5, 8), (7, 7), (101, 3), (1447, 2),
+                                 (46349, 1), (65521, 1)])
+def test_lengths_vector_matches_the_whole_matrix_formula(q, d):
+    # the former construction: one int64 copy of the (q^d, d) coordinates,
+    # squared and summed along each row.  Up to 2.1M points, and q past
+    # the int32 limit of a step's sum.
+    coords = domain.coords_matrix(q, d).astype(np.int64)
+    want = ((coords * coords).sum(axis=1) % q).astype(np.int32)
+    got = domain.lengths_vector(q, d)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert hashlib.sha256(got.tobytes()).hexdigest() == hashlib.sha256(want.tobytes()).hexdigest()
