@@ -31,7 +31,6 @@ from . import domain
 from .charsums import (
     WEIL_CONSTANT,
     gauss_sum,
-    quadratic_sum_closed_form,
     quadratic_sum_table,
     weil_bound_audit,
 )
@@ -59,6 +58,9 @@ from .measures import measure_suite, sample_anchor_tuple
 
 DEFAULT_ACCEPT = 3.0
 DEFAULT_TOLERANCE = 1e-9
+# The one encoder of JSONL records: json.dumps with these separators
+# would build a new encoder for every record.
+JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def resolve_simplex(args, field: PrimeField) -> Simplex:
@@ -119,7 +121,7 @@ def emit(records: list, out_path: Optional[str], fmt: str) -> None:
             writer.writerow({k: json.dumps(v) if isinstance(v, (dict, list)) else v for k, v in r.items()})
         text = buf.getvalue()
     else:
-        text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+        text = "".join(JSONL_ENCODER.encode(r) + "\n" for r in records)
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -142,13 +144,20 @@ def run_verify_gauss(args) -> list:
     records.append(record("gauss-modulus", {"q": q}, g_err, tol, g_err <= tol,
                           re=g.real, im=g.imag))
     table = quadratic_sum_table(field, d)
+    bs = domain.coords_matrix(q, d).tolist()
+    lengths = domain.lengths_vector(q, d).astype(np.int64)
     for a in field.units():
-        for b_idx, brute in enumerate(table[a - 1].tolist()):
-            b = domain.point_of(b_idx, q, d)
-            closed = quadratic_sum_closed_form(field, a, b, g=g)
-            rel = abs(closed - brute) / max(1.0, abs(brute))
-            records.append(record("verify-gauss", {"q": q, "d": d, "a": a, "b": list(b)},
-                                  rel, tol, rel <= tol))
+        # quadratic_sum_closed_form's product, one value per argument -|b|^2/4a
+        scale = (g ** d) * (field.eta(a) ** d)
+        closed = np.array([scale * field.chi(k) for k in range(q)])
+        closed = closed[-lengths * field.inv((4 * a) % q) % q]
+        brute = table[a - 1]
+        # np.hypot rounds as Python's abs(complex) does; np.abs does not
+        diff = closed - brute
+        rel = np.hypot(diff.real, diff.imag) / np.maximum(1.0, np.hypot(brute.real, brute.imag))
+        for b, err in zip(bs, rel.tolist()):
+            records.append(record("verify-gauss", {"q": q, "d": d, "a": a, "b": b},
+                                  err, tol, err <= tol))
     return records
 
 
@@ -166,6 +175,7 @@ def run_charsum_audit(args) -> list:
 
 def run_verify_measures(args) -> list:
     field = PrimeField(args.q)
+    check_lemma_work(args.q, args.d, "verify-measures", samples=args.samples)
     records = []
     for rep in measure_suite(field, args.d, seed=args.seed, samples=args.samples):
         passed = rep["implied_constant"] <= args.accept_constant

@@ -69,6 +69,7 @@ from .measures import (
     span_mask,  # noqa: F401  (re-exported; the tuple walk does not call it)
     sphere_mask,
     step_targets,
+    suite_ranks,
 )
 
 STARRED_ENUM_CAP = 1_000_000
@@ -90,6 +91,14 @@ BLOCK_BYTES = 2 ** 17
 # is ~20 minutes; Lemma 4.2's pre-set walk ran at 2-3 ns per unit of its
 # estimate at (5,5,3) and (3,6,4).
 WORK_CAP = 10 ** 12
+# Largest estimated peak memory a verification run may start (see
+# check_lemma_work): a quarter of the 8 GB of RAM of the 2-vCPU machine the
+# caps were measured on.
+MEMORY_CAP = 2 * 2 ** 30
+# Peak bytes per point of F_q^d that verify-measures holds: tracemalloc
+# read 68.4-70.2 from (13,5) to (1447,2), and whole-process VmHWM, less the
+# interpreter's, 68.7 at (3,14).
+MEASURES_BYTES_PER_POINT = 72
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +630,18 @@ def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
     return work
 
 
-def check_lemma_work(q: int, d: int, which: str, j: int = 1) -> int:
+def check_lemma_work(q: int, d: int, which: str, j: int = 1, samples: int = 1) -> int:
     """Work estimate of one verification run, refused above WORK_CAP as in
     check_work.  which is "4.2" (q^d points for each of the
     ~q^{(j-1)d - binom(j,2)} level-(j-1) nodes of the walk, a bound on the
     pre-set walk, which tests only the ~q^{d-j+1} points a node's parent
     passes on), "4.3" (one d q^{d+1}
-    transform per anchor, ~q^{(j-1)d - binom(j,2)} anchors) or
-    "verify-gauss" ((q - 1) q^d quadratic sums of q^d terms each)."""
+    transform per anchor, ~q^{(j-1)d - binom(j,2)} anchors),
+    "verify-gauss" ((q - 1) q^d quadratic sums of q^d terms each) or
+    "verify-measures" (one d q^{d+1} transform for each of 3 spheres and
+    of samples anchors per rank of measures.suite_ranks).  A
+    verify-measures run is refused as well when its peak memory,
+    MEASURES_BYTES_PER_POINT bytes per point, would exceed MEMORY_CAP."""
     if which == "4.2":
         return _refuse_above_cap(q ** (j * d - j * (j - 1) // 2), "q^(jd - C(j,2))")
     if which == "4.3":
@@ -636,6 +649,14 @@ def check_lemma_work(q: int, d: int, which: str, j: int = 1) -> int:
                                  "q^((j-1)d - C(j,2)) x d q^(d+1)")
     if which == "verify-gauss":
         return _refuse_above_cap((q - 1) * q ** (2 * d), "(q-1) q^(2d)")
+    if which == "verify-measures":
+        transforms = 3 + samples * len(suite_ranks(d))
+        work = _refuse_above_cap(transforms * d * q ** (d + 1), "(3 + samples x ranks) x d q^(d+1)")
+        peak = MEASURES_BYTES_PER_POINT * q ** d
+        if peak > MEMORY_CAP:
+            raise ValueError(f"estimated peak memory {MEASURES_BYTES_PER_POINT} q^d = {peak:.3g} bytes "
+                             f"exceeds the cap {MEMORY_CAP:.3g} bytes")
+        return work
     raise ValueError(f"no work estimate for {which!r}")
 
 

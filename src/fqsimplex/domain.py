@@ -5,6 +5,14 @@ index(x) = sum_c x_c * q**c, so coordinate 0 varies fastest.  Grids reshape
 flat arrays to shape (q,)*d in Fortran order, which keeps grid axis c in
 bijection with coordinate c.
 
+Two tables are cached per (q, d) for the life of the process, both built
+without dividing an index array: coords_matrix, the (q^d, d) coordinates
+(2d bytes per point while q <= 32768), one broadcast digit pattern per
+column; and lengths_vector, |x|^2 mod q in int32, by d outer sums of the
+q-entry table of squares.  lengths_vector reads no coordinate table, so a
+run that needs only lengths and the digits of a few indices (measures
+.conditional_masks) never builds the (q^d, d) one.
+
 Translates are read, a batch of vectors at a time, from one cyclically
 wrapped copy of the values (wrap, translate_values).  The copy wraps the t
 inner coordinates, t the fewest whose window of q^t points holds at least
@@ -58,28 +66,32 @@ def point_of(idx: int, q: int, d: int) -> tuple:
 @lru_cache(maxsize=None)
 def coords_matrix(q: int, d: int) -> np.ndarray:
     """(q^d, d) matrix whose rows are the points in index order; int16 while
-    every coordinate 0..q-1 fits, int32 above that."""
+    every coordinate 0..q-1 fits, int32 above that.  Column c is a digit
+    pattern, written by broadcasting: each digit 0..q-1 repeated q^c times,
+    and that run tiled q^(d-1-c) times, so no index array is divided."""
     n = domain_size(q, d)
-    idx = np.arange(n, dtype=np.int64)
     out = np.empty((n, d), dtype=np.int16 if q - 1 <= np.iinfo(np.int16).max else np.int32)
+    digits = np.arange(q, dtype=out.dtype)[:, None]
     for c in range(d):
-        out[:, c] = (idx // q ** c) % q
+        out.reshape(q ** (d - 1 - c), q, q ** c, d)[:, :, :, c] = digits
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
 def lengths_vector(q: int, d: int) -> np.ndarray:
-    """|x|^2 mod q for every point, in index order.  Sums one coordinate at
-    a time, reduced mod q at each step, so no (q^d, d) copy is made; in
-    int64, since a step's sum, below q^2, overflows int32 from q = 46341."""
-    coords = coords_matrix(q, d)
-    acc = np.zeros(len(coords), dtype=np.int64)
-    for c in range(d):
-        sq = coords[:, c].astype(np.int64)
-        sq *= sq
-        acc += sq
-        acc %= q
+    """|x|^2 mod q for every point, in index order, as int32.  Built from
+    the q-entry table of squares mod q by d outer sums, each reduced mod q:
+    after c sums, entry i is the length of the point with the c low digits
+    of i.  It reads no coordinate table.  The working dtype is the
+    narrowest unsigned one that holds a sum of two residues, 2(q-1)."""
+    domain_size(q, d)
+    work = np.min_scalar_type(2 * (q - 1))
+    squares = (np.arange(q, dtype=np.int64) ** 2 % q).astype(work)
+    acc = np.zeros(1, dtype=work)
+    for _ in range(d):
+        acc = (squares[:, None] + acc).reshape(-1)
+        acc %= work.type(q)
     out = acc.astype(np.int32)
     out.flags.writeable = False
     return out

@@ -63,12 +63,14 @@ def conditional_masks(q: int, d: int, chosen: np.ndarray, targets) -> np.ndarray
     x, which are the low and high digits of its flat index, so the test
     x.u = t (mod q) over all x compares a q^(d-h)-entry table of the high
     part with a q^h-entry table of t minus the low part: one comparison per
-    (row, point), and dots stay exact in int64 at every admitted (q, d)."""
+    (row, point), and dots stay exact in int64 at every admitted (q, d).
+    The anchors' coordinates are the digits of their flat indices, so no
+    (q^d, d) coordinate table is built."""
     rows, level = chosen.shape
     if len(targets) != level + 1:
         raise ValueError("need one dot target per anchor plus a length target")
     n = domain.domain_size(q, d)
-    coords = domain.coords_matrix(q, d)
+    anchors = np.asarray(chosen, dtype=np.int64)[:, :, None] // q ** np.arange(d, dtype=np.int64) % q
     h = d // 2
     low = domain.coords_matrix(q, h).astype(np.int64)
     high = domain.coords_matrix(q, d - h).astype(np.int64)
@@ -76,7 +78,7 @@ def conditional_masks(q: int, d: int, chosen: np.ndarray, targets) -> np.ndarray
     mask[:] = domain.lengths_vector(q, d) == targets[-1] % q
     grid = mask.reshape(rows, high.shape[0], low.shape[0])
     for i in range(level):
-        u = coords[chosen[:, i]].astype(np.int64)
+        u = anchors[:, i]
         rest = (targets[i] - u[:, :h] @ low.T) % q
         grid &= ((u[:, h:] @ high.T) % q)[:, :, None] == rest[:, None, :]
     return mask
@@ -289,6 +291,12 @@ def sample_anchor_tuple(field: PrimeField, simplex: Simplex, j: int, rng) -> tup
     return tuple(anchors)
 
 
+def suite_ranks(d: int) -> list:
+    """Ranks r of the step-2 reference simplices measure_suite checks in
+    dimension d: 2, 1 and 0, each while d >= 2 * 2 - r."""
+    return [r for r in (2, 1, 0) if d >= 2 * 2 - r]
+
+
 def measure_suite(field: PrimeField, d: int, seed: int = 0, samples: int = 2) -> list:
     """Reports for the four spectral statements at one (q, d):
     both sphere radii classes, plus step-2 measures for a full-rank and,
@@ -299,14 +307,7 @@ def measure_suite(field: PrimeField, d: int, seed: int = 0, samples: int = 2) ->
         verify_sphere_asymptotic(field, field.nonsquare(), d),
         verify_sphere_asymptotic(field, 0, d),
     ]
-    cases = [2]
-    if d >= 3:
-        cases.append(1)
-    if d >= 4:
-        cases.append(0)
-    for r in cases:
-        if d < 2 * 2 - r:
-            continue
+    for r in suite_ranks(d):
         simplex = find_simplex_of_rank(field, d, 2, r)
         for _ in range(samples):
             anchors = sample_anchor_tuple(field, simplex, 2, rng)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fqsimplex import domain
 from fqsimplex.cli import main
 
 ENVELOPE = {"check", "params", "value", "bound", "pass"}
@@ -25,6 +26,27 @@ def test_verify_gauss(capsys):
     assert len(per_pair) == 6 * 49  # one record per (a, b)
     for r in records:
         assert ENVELOPE <= set(r)
+
+
+@pytest.mark.parametrize("q,d", [(7, 3), (11, 2)])
+def test_verify_gauss_values_are_the_per_pair_closed_form(q, d, capsys):
+    # the former loop, one (a, b) at a time in Python complex arithmetic;
+    # the row-at-a-time run must report the same bits
+    from fqsimplex.charsums import gauss_sum, quadratic_sum_closed_form, quadratic_sum_table
+    from fqsimplex.field import PrimeField
+
+    field = PrimeField(q)
+    g = gauss_sum(field)
+    table = quadratic_sum_table(field, d)
+    want = []
+    for a in field.units():
+        for b_idx, brute in enumerate(table[a - 1].tolist()):
+            b = domain.point_of(b_idx, q, d)
+            closed = quadratic_sum_closed_form(field, a, b, g=g)
+            want.append((a, list(b), abs(closed - brute) / max(1.0, abs(brute))))
+    _, records, _ = run_cli(capsys, "verify-gauss", "--q", str(q), "--d", str(d))
+    got = [(r["params"]["a"], r["params"]["b"], r["value"]) for r in records if r["check"] == "verify-gauss"]
+    assert got == want
 
 
 def test_charsum_audit(capsys):
@@ -217,6 +239,43 @@ def test_lemma_run_that_cannot_finish_is_refused(argv, estimate, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{estimate} exceeds the cap" in captured.err
+
+
+def test_verify_measures_that_cannot_fit_is_refused(monkeypatch, capsys):
+    # 3^16 = 4.3e7 points is under the dense-storage cap and its work
+    # estimate under the work cap, but 72 bytes per point is not under the
+    # memory cap: refused before any table is built
+    def no_table(*args):
+        raise AssertionError("built a table past the memory cap")
+
+    monkeypatch.setattr(domain, "coords_matrix", no_table)
+    monkeypatch.setattr(domain, "lengths_vector", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-measures", "--q", "3", "--d", "16"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3.1e+09 bytes exceeds the cap" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-measures", "--q", "5", "--d", "4"],
+    ["verify-lemma", "--which", "4.1", "--q", "5", "--d", "4", "--k", "3", "--samples", "3"],
+])
+def test_runs_reading_only_digits_build_no_full_coordinate_table(argv, monkeypatch, capsys):
+    # the anchors' coordinates are read from the digits of their flat
+    # indices, and the lengths from the table of squares
+    coords_matrix = domain.coords_matrix
+
+    def partial_only(q, d):
+        if d == 4:
+            raise AssertionError(f"built coords_matrix({q}, {d})")
+        return coords_matrix(q, d)
+
+    domain.lengths_vector.cache_clear()
+    monkeypatch.setattr(domain, "coords_matrix", partial_only)
+    code, records, _ = run_cli(capsys, *argv)
+    assert code == 0 and records[-1]["pass"]
 
 
 @pytest.mark.parametrize("q", [32749, 40009])

@@ -806,6 +806,9 @@ def test_lemma_work_cap_refuses_before_any_walk(monkeypatch):
     assert counting.check_lemma_work(5, 4, "4.2", 3) == 5 ** 9
     assert counting.check_lemma_work(5, 4, "4.3", 3) == 5 ** 5 * 4 * 5 ** 5
     assert counting.check_lemma_work(11, 3, "verify-gauss") == 10 * 11 ** 6
+    # 3 spheres, then samples anchors for each of the d = 4 ranks 2, 1, 0
+    assert counting.check_lemma_work(5, 4, "verify-measures", samples=2) == (3 + 2 * 3) * 4 * 5 ** 5
+    assert counting.check_lemma_work(5, 2, "verify-measures", samples=2) == (3 + 2 * 1) * 2 * 5 ** 3
     with pytest.raises(ValueError):
         counting.check_lemma_work(5, 4, "4.4", 3)
     monkeypatch.setattr(counting, "_walk", no_walk)
@@ -814,6 +817,19 @@ def test_lemma_work_cap_refuses_before_any_walk(monkeypatch):
         verify_count_asymptotic(F5, s, 3)
     with pytest.raises(ValueError, match=r"3\.91e\+07 exceeds"):
         verify_error_lemma(F5, s, 3)
+
+
+def test_memory_cap_refuses_verify_measures(monkeypatch):
+    # (5,4): 72 bytes for each of 625 points
+    assert counting.MEASURES_BYTES_PER_POINT * 5 ** 4 == 45000
+    monkeypatch.setattr(counting, "MEMORY_CAP", 45000 - 1)
+    with pytest.raises(ValueError, match=r"4\.5e\+04 bytes exceeds"):
+        counting.check_lemma_work(5, 4, "verify-measures")
+    monkeypatch.setattr(counting, "MEMORY_CAP", 45000)
+    assert counting.check_lemma_work(5, 4, "verify-measures") == (3 + 3) * 4 * 5 ** 5
+    monkeypatch.setattr(counting, "WORK_CAP", 6 * 4 * 5 ** 5 - 1)
+    with pytest.raises(ValueError, match=r"7\.5e\+04 exceeds"):
+        counting.check_lemma_work(5, 4, "verify-measures")
 
 
 def _error_lemma_one_anchor_at_a_time(field, s, j):

@@ -139,3 +139,27 @@ def test_lengths_vector_matches_the_whole_matrix_formula(q, d):
     got = domain.lengths_vector(q, d)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert hashlib.sha256(got.tobytes()).hexdigest() == hashlib.sha256(want.tobytes()).hexdigest()
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (3, 12), (5, 8), (13, 5), (101, 3), (1447, 2),
+                                 (46349, 1), (65521, 1)])
+def test_tables_match_the_division_formula(q, d):
+    # the former construction: every coordinate divided out of the flat
+    # index array, and the lengths summed from those coordinates.  q = 46349
+    # and 65521 store int32 coordinates, and their squares pass int32.
+    idx = np.arange(q ** d, dtype=np.int64)
+    coords = np.empty((q ** d, d), dtype=np.int16 if q - 1 <= np.iinfo(np.int16).max else np.int32)
+    lengths = np.zeros(q ** d, dtype=np.int64)
+    for c in range(d):
+        coords[:, c] = (idx // q ** c) % q
+        lengths += coords[:, c].astype(np.int64) ** 2
+        lengths %= q
+    lengths = lengths.astype(np.int32)
+    for got, want in [(domain.coords_matrix(q, d), coords), (domain.lengths_vector(q, d), lengths)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert not got.flags.writeable
+        assert sha256(got) == sha256(want)

@@ -34,6 +34,7 @@ from fqsimplex.measures import (
     sample_anchor_tuple,
     span_mask,
     step_targets,
+    suite_ranks,
     verify_conditional_asymptotic,
     verify_sphere_asymptotic,
 )
@@ -318,3 +319,12 @@ def test_measure_suite_covers_lemmas():
     for r in reports:
         assert r["implied_constant"] <= 3.0
         assert set(r) >= {"lemma", "q", "d", "j", "rank", "max_err", "bound", "implied_constant"}
+
+
+@pytest.mark.parametrize("d,ranks", [(2, [2]), (3, [2, 1]), (4, [2, 1, 0])])
+def test_suite_ranks_are_the_step_two_cases_measure_suite_runs(d, ranks):
+    # check_lemma_work counts verify-measures transforms by suite_ranks
+    assert suite_ranks(d) == ranks
+    reports = measure_suite(F5, d, seed=1, samples=2)
+    assert [r["rank"] for r in reports[3:]] == [r for r in ranks for _ in range(2)]
+    assert suite_ranks(1) == [] and suite_ranks(7) == [2, 1, 0]
