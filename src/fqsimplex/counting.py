@@ -25,18 +25,17 @@ no Python-level loop over candidates.  The support it enumerates, an array
 of flat point indices, is summed by one prefix-shared fold, _fold_support.
 
 Every vector of a support tuple lies on one of k spheres, so the tuples
-reuse far fewer distinct vectors than they contain.  Each aggregation path
-therefore memoizes the translates y -> A(. + y) of the set it counts,
-bit-packed for indicator sets.  A memo wraps its set once (domain.wrap)
-and computes the translates a call is missing in one batch, each a window
-of that copy; it keeps them in the room TRANSLATE_MEMO_BYTES leaves beside
-the copy, and recomputes them on use past that bound.  The copy is up to
-21.4 times its set, and check_work refuses a count whose copy alone would
-exceed TRANSLATE_MEMO_BYTES, so every admitted count stays within that
-budget per path.  The two paths keep separate memos, so their aggregations
-stay independent.  Blocks
-of nodes, pairs, support rows and unpacked translates are cut to at most
-BLOCK_BYTES, so memory stays bounded at any support size.
+reuse far fewer distinct vectors than they contain.  A count therefore
+memoizes the translates y -> A(. + y) of its set once, bit-packed, and both
+aggregation paths read that one memo.  A memo wraps its set once
+(domain.wrap) and computes the translates a call is missing in one batch,
+each a window of that copy; it keeps them in the room TRANSLATE_MEMO_BYTES
+leaves beside the copy, and recomputes them on use past that bound.  The
+copy is up to 21.4 times its set, and check_work refuses a count whose copy
+alone would exceed TRANSLATE_MEMO_BYTES, so every admitted count stays
+within that budget.  Blocks of nodes, pairs, support rows and unpacked
+translates are cut to at most BLOCK_BYTES, so memory stays bounded at any
+support size.
 """
 
 from __future__ import annotations
@@ -74,10 +73,10 @@ from .measures import (
 
 STARRED_ENUM_CAP = 1_000_000
 # Bytes of memoized translates, with the wrapped copy they are read from,
-# that one aggregation path keeps; past this, translates are recomputed on
-# use instead of stored.  check_work refuses a count whose copy alone is
-# larger (a boolean set at (q, 2) for q >= 5801 would need up to 199 MB),
-# so counts stay within this budget.
+# that one count keeps in the one memo both its paths read; past this,
+# translates are recomputed on use instead of stored.  check_work refuses
+# a count whose copy alone is larger (a boolean set at (q, 2) for
+# q >= 5801 would need up to 199 MB), so counts stay within this budget.
 TRANSLATE_MEMO_BYTES = 64 * 2 ** 20
 # Bytes of one block of rows.  A block of tree nodes holds as many nodes as
 # BLOCK_BYTES of their tuples and their parents' pre-set rows; a chunk of
@@ -514,12 +513,10 @@ def _translate_memos(arrays: Sequence[np.ndarray], q: int, d: int) -> list:
     return [memos[id(a)] for a in arrays]
 
 
-def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], simplex: Simplex,
-                             support: Optional[np.ndarray] = None) -> Fraction:
+def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], simplex: Simplex) -> Fraction:
     """Exact rational script_S for 0/1 indicator inputs, aggregated by
-    bit-packed intersection and popcount (a separate path from the
-    embedding counter).  A mask holding any other value raises ValueError.
-    support, if given, is the (N, j) flat-index support array of the walk.
+    bit-packed intersection and popcount.  A mask holding any other value
+    raises ValueError.
 
     The support rows come out of the enumeration in prefix order, so the
     intersections for a shared tuple prefix are computed once per block;
@@ -528,8 +525,7 @@ def script_S_indicator_exact(field: PrimeField, masks: Sequence[np.ndarray], sim
     j = len(masks) - 1
     q = field.q
     d = simplex.d
-    if support is None:
-        support = _support_indices(field, simplex, j)
+    support = _support_indices(field, simplex, j)
     indicators = {id(m): _indicator(m) for m in masks}
     translates = _translate_memos([indicators[id(m)] for m in masks[1:]], q, d)
     total = _fold_support(support, _pack(indicators[id(masks[0])]), translates, np.bitwise_and, _popcount)
@@ -582,14 +578,13 @@ def gram_preserving_orderings(field: PrimeField, simplex: Simplex) -> int:
     return isometric_orderings(field, simplex, simplex)
 
 
-def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
+def _count_embeddings(field: PrimeField, simplex: Simplex, packed: np.ndarray, translate: Callable) -> int:
     """Boolean embedding counter: walks the constrained tuple tree carrying
-    the running intersection of A and the translates A(. + y_i) as
-    bit-packed rows, so shared prefixes share work and empty intersections
-    prune whole subtrees; leaves are counted by popcount.  Translates come
-    from a memo bounded by TRANSLATE_MEMO_BYTES."""
-    q, d, k = A.q, A.d, simplex.k
-    translate = _translate_memo(A.mask, q, d, TRANSLATE_MEMO_BYTES)
+    the running intersection of the set A (packed, its bit-packed row) and
+    its translates A(. + y_i) (translate, the count's memo) as bit-packed
+    rows, so shared prefixes share work and empty intersections prune whole
+    subtrees; leaves are counted by popcount."""
+    k = simplex.k
     total = 0
 
     def grow(level: int, hits: np.ndarray, parent: np.ndarray, y: np.ndarray):
@@ -601,7 +596,7 @@ def _count_embeddings(field: PrimeField, A: PointSet, simplex: Simplex) -> int:
         keep = deeper.any(axis=1)
         return keep, deeper[keep]
 
-    _walk(field, simplex, k, grow, root=_pack(A.mask)[None])
+    _walk(field, simplex, k, grow, root=packed[None])
     return total
 
 
@@ -617,9 +612,9 @@ def check_work(q: int, d: int, k: int, trials: int = 1) -> int:
     the count identity's scale q^{(k+1)d - binom(k+1,2)} times trials.
     Raises ValueError above WORK_CAP, so a run that cannot finish is
     refused before it starts.  Raises ValueError as well when the wrapped
-    copy a translate memo holds of a boolean set, q^(d-t) (2q-1)^t bytes
-    with t = domain.window_coords(q, d), exceeds TRANSLATE_MEMO_BYTES, so a
-    count stays within its memo budget."""
+    copy that a count's one translate memo holds of a boolean set,
+    q^(d-t) (2q-1)^t bytes with t = domain.window_coords(q, d), exceeds
+    TRANSLATE_MEMO_BYTES, so a count stays within its memo budget."""
     work = _refuse_above_cap(q ** ((k + 1) * d - math.comb(k + 1, 2)) * trials,
                              "q^((k+1)d - C(k+1,2)) x trials")
     t = domain.window_coords(q, d)
@@ -666,13 +661,14 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     x and every x + y_i lie in A and (0, y_1..y_k) is ordered-isometric to
     the reference simplex.
 
-    Runs the boolean embedding counter and the exact rational script_S
-    path (separate aggregation, each with its own bounded memo of
-    translates of A) and insists they agree as integers before reporting;
-    unordered_count must divide exactly as well.  Both enumerate through
-    the one walker, _walk, so this cross-check does not test enumeration;
-    that is checked independently by the naive counters in the tests and
-    by perfbench's checks.count_over_set.
+    Reads one bounded memo of translates of A in two aggregations, the
+    boolean embedding counter (the walk, carrying pruned intersections) and
+    the prefix-shared fold over the support (the integer behind script_S),
+    and insists their totals agree before reporting; unordered_count must
+    divide exactly as well.  Both enumerate through the one walker, _walk,
+    so this cross-check does not test enumeration; that is checked
+    independently by the naive counters in the tests and by perfbench's
+    checks.count_over_set.
     support, if given, is the (N, k) flat-index support array of the walk,
     shared by calls on the same simplex.
     d <= 2k - r sets the report's dimension_warning; nothing is warned.
@@ -686,11 +682,14 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
     check_work(q, d, k)
     r = simplex_rank(field, simplex)
 
-    exact = _count_embeddings(field, A, simplex)
-    s_exact = script_S_indicator_exact(field, [A.mask] * (k + 1), simplex, support=support)
-    scale = q ** ((k + 1) * d - math.comb(k + 1, 2))
-    if s_exact * scale != exact:
+    translate = _translate_memo(A.mask, q, d, TRANSLATE_MEMO_BYTES)
+    packed = _pack(A.mask)
+    exact = _count_embeddings(field, simplex, packed, translate)
+    if support is None:
+        support = _support_indices(field, simplex, k)
+    if _fold_support(support, packed, [translate] * k, np.bitwise_and, _popcount) != exact:
         raise RuntimeError("embedding count and script_S disagree; internal inconsistency")
+    scale = q ** ((k + 1) * d - math.comb(k + 1, 2))
 
     sym = gram_preserving_orderings(field, simplex)
     if exact % sym:
@@ -711,7 +710,7 @@ def count_isometric_copies(A: PointSet, simplex: Simplex, field: Optional[PrimeF
         exact_count=exact,
         unordered_count=exact // sym,
         symmetry_factor=sym,
-        s_value=float(s_exact),
+        s_value=float(Fraction(exact, scale)),
         main_term=main,
         error_bound=err_scale * scale,
         normalized_error=normalized,
@@ -843,8 +842,7 @@ def verify_error_lemma(field: PrimeField, simplex: Simplex, j: int,
 # randomized experiments
 # ---------------------------------------------------------------------------
 
-def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, trials: int,
-                          seed: int, fixed_size: bool = False) -> list:
+def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, trials: int, seed: int) -> list:
     """Sample random sets of target density alpha and report the embedding
     count statistics per trial.
 
@@ -859,7 +857,6 @@ def random_set_experiment(field: PrimeField, simplex: Simplex, alpha: float, tri
     check_work(q, d, simplex.k, trials)
     support = _support_indices(field, simplex, simplex.k)
     children = np.random.SeedSequence(seed).spawn(trials)
-    return [count_isometric_copies(PointSet.random(q, d, alpha, np.random.default_rng(child),
-                                                   fixed_size=fixed_size),
+    return [count_isometric_copies(PointSet.random(q, d, alpha, np.random.default_rng(child)),
                                    simplex, field=field, support=support, trial=i)
             for i, child in enumerate(children)]

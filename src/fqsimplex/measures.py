@@ -298,9 +298,12 @@ def suite_ranks(d: int) -> list:
 
 
 def measure_suite(field: PrimeField, d: int, seed: int = 0, samples: int = 2) -> list:
-    """Reports for the four spectral statements at one (q, d):
-    both sphere radii classes, plus step-2 measures for a full-rank and,
-    when the dimension allows, rank-deficient reference simplices."""
+    """Reports for the four spectral statements at one (q, d): both sphere
+    radii classes, plus step-2 measures at samples (>= 1, else ValueError)
+    anchor tuples for a full-rank and, when the dimension allows,
+    rank-deficient reference simplices."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     reports = [
         verify_sphere_asymptotic(field, 1, d),

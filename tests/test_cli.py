@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -177,6 +176,8 @@ def test_option_the_run_does_not_read_is_a_usage_error(command, option, value, c
 
 @pytest.mark.parametrize("argv", [
     ["verify-lemma", "--which", "4.1", "--q", "7", "--d", "4", "--k", "3", "--samples", "0"],
+    ["verify-measures", "--q", "5", "--d", "3", "--samples", "0"],
+    ["verify-measures", "--q", "5", "--d", "3", "--samples", "-3"],
     ["charsum-audit", "--q-max", "2"],
 ])
 def test_empty_run_is_a_usage_error(argv, capsys):
@@ -311,15 +312,6 @@ def test_out_file_and_csv(tmp_path, capsys):
     text = csv_path.read_text().splitlines()
     assert text[0].startswith("check,")
     assert len(text) == 3  # header + record + summary
-
-
-def test_threads_env_fallback(tmp_path):
-    base = [sys.executable, "-m", "fqsimplex", "random-experiment", "--q", "7", "--d", "3",
-            "--k", "1", "--alpha", "0.3", "--trials", "3", "--seed", "5"]
-    env = dict(os.environ, FQSIMPLEX_THREADS="3")
-    with_env = subprocess.run(base, capture_output=True, check=True, env=env)
-    plain = subprocess.run(base, capture_output=True, check=True)
-    assert with_env.stdout == plain.stdout
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):

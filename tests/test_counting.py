@@ -359,13 +359,15 @@ def wrapped_bytes(q, d):
 
 
 def _route_counts(f, A, s):
-    """(embedding counter, script_S route scaled to an integer count)."""
-    q, d, k = A.q, A.d, s.k
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tree = counting._count_embeddings(f, A, s)
-        flat = script_S_indicator_exact(f, [A.mask] * (k + 1), s)
-    return tree, flat * q ** ((k + 1) * d - math.comb(k + 1, 2))
+    """(embedding counter, prefix-shared fold): the two integer totals
+    count_isometric_copies compares, read from one translate memo."""
+    k = s.k
+    translate = counting._translate_memo(A.mask, A.q, A.d, counting.TRANSLATE_MEMO_BYTES)
+    packed = counting._pack(A.mask)
+    tree = counting._count_embeddings(f, s, packed, translate)
+    flat = counting._fold_support(counting._support_indices(f, s, k), packed, [translate] * k,
+                                  np.bitwise_and, counting._popcount)
+    return tree, flat
 
 
 @pytest.mark.parametrize("q,d,k", [(5, 2, 1), (5, 3, 2), (3, 3, 3)])
@@ -478,9 +480,17 @@ def test_fold_does_not_depend_on_support_order(q, d, k):
     rng = np.random.default_rng(q + k)
     masks = [rng.random(q ** d) < 0.6 for _ in range(k + 1)]
     support = counting._support_indices(field, s, k)
-    exact = script_S_indicator_exact(field, masks, s)
+
+    def fold(rows):
+        translates = [counting._translate_memo(m, q, d, counting.TRANSLATE_MEMO_BYTES) for m in masks[1:]]
+        return counting._fold_support(rows, counting._pack(masks[0]), translates, np.bitwise_and,
+                                      counting._popcount)
+
+    total = fold(support)
+    assert script_S_indicator_exact(field, masks, s) == Fraction(q ** math.comb(k + 1, 2) * total,
+                                                                 q ** ((k + 1) * d))
     for order in [np.arange(len(support))[::-1], np.argsort(support[:, -1], kind="stable")]:
-        assert script_S_indicator_exact(field, masks, s, support=support[order]) == exact
+        assert fold(support[order]) == total
 
 
 def test_tree_counter_prunes_where_enumeration_descends(monkeypatch):
@@ -501,7 +511,9 @@ def test_tree_counter_prunes_where_enumeration_descends(monkeypatch):
 
     monkeypatch.setattr(counting, "_walk", counted_walk)
     s = standard_simplex(F5, 3, 2)
-    assert counting._count_embeddings(F5, PointSet.from_points(5, 3, [(0, 0, 0)]), s) == 0
+    mask = PointSet.from_points(5, 3, [(0, 0, 0)]).mask
+    translate = counting._translate_memo(mask, 5, 3, counting.TRANSLATE_MEMO_BYTES)
+    assert counting._count_embeddings(F5, s, counting._pack(mask), translate) == 0
     assert sum(expanded) == 0
     assert len(support_tuples(F5, s, 2)) == 120
     assert sum(expanded) == 30
@@ -703,6 +715,63 @@ def test_translate_memo_cuts_a_batch_to_block_bytes(translate_batches, monkeypat
     expected = counting._pack(np.stack([roll_translate(mask, 5, 2, domain.point_of(y, 5, 2)) for y in flat]))
     assert np.array_equal(translate(flat), expected)
     assert translate_batches == [2] * 12 + [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(5, 2), (3, 3)]), dtype=st.sampled_from([bool, np.complex128]),
+       rows=st.sampled_from([0, 1, 2, 3, None]))
+def test_translate_memo_matches_the_roll_oracle_in_any_request_order(data, shape, dtype, rows):
+    # one memo serves every request of a count, whatever their order: a
+    # budget of 0 stores nothing, the wrapped copy plus 1-3 rows stores
+    # that many rows and recomputes the rest, None stores every row
+    q, d = shape
+    n = q ** d
+    values = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))).astype(dtype)
+    encode = counting._pack if dtype is bool else np.asarray
+    oracle = encode(np.stack([roll_translate(values, q, d, domain.point_of(y, q, d)) for y in range(n)]))
+    copy = domain.wrap(values, q, d).nbytes
+    budget = 0 if rows == 0 else copy + (n if rows is None else rows) * oracle[0].nbytes
+    translate = counting._translate_memo(values, q, d, budget)
+    calls = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+                               min_size=1, max_size=6))
+    for ys in calls:
+        assert np.array_equal(translate(np.array(ys)), oracle[ys])
+
+
+@pytest.fixture
+def wraps(monkeypatch):
+    """One entry per domain.wrap call (the shape of the values wrapped)."""
+    calls = []
+    original = domain.wrap
+
+    def counted(values, q, d):
+        calls.append(values.shape)
+        return original(values, q, d)
+
+    monkeypatch.setattr(domain, "wrap", counted)
+    return calls
+
+
+def test_a_count_wraps_its_set_once(wraps):
+    s = standard_simplex(F7, 4, 2)
+    count_isometric_copies(PointSet.random(7, 4, 0.3, np.random.default_rng(1)), s, field=F7)
+    assert len(wraps) == 1
+    wraps.clear()
+    assert len(random_set_experiment(F7, s, 0.3, 3, 1)) == 3
+    assert len(wraps) == 3
+
+
+@pytest.mark.parametrize("q,d,k,alpha", [(7, 4, 2, 0.3), (5, 4, 3, 0.1), (5, 3, 2, 1.0)])
+def test_a_count_computes_each_translate_once(q, d, k, alpha, translate_batches):
+    # the walk and the fold ask for translates in different orders; within
+    # the memo budget each distinct vector of the support is computed once
+    field = PrimeField(q)
+    s = standard_simplex(field, d, k)
+    distinct = len(np.unique(counting._support_indices(field, s, k)))
+    A = PointSet.random(q, d, alpha, np.random.default_rng(q + k))
+    translate_batches.clear()
+    count_isometric_copies(A, s, field=field)
+    assert sum(translate_batches) == distinct
 
 
 def test_script_S_exact_rejects_non_indicator_masks():
@@ -968,14 +1037,6 @@ def test_experiment_reports_realized_alpha():
                 "set_size", "density_threshold"} <= set(d)
         # threshold q^{(2k-d-r)/(k+1)} is reported, never enforced
         assert abs(rep.density_threshold - 7.0 ** ((2 - 3 - 1) / 2)) < 1e-12
-
-
-def test_experiment_fixed_size_mode():
-    s = standard_simplex(F7, 3, 1)
-    reps = random_set_experiment(F7, s, 0.3, 3, 11, fixed_size=True)
-    expected = round(0.3 * 343) / 343
-    for rep in reps:
-        assert abs(rep.alpha - expected) < 1e-12
 
 
 def test_experiment_rejects_bad_parameters():
